@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
 """CI gate: the turbo engine is bit-identical to the reference engine.
 
-Two checks, both exact (no tolerances — the ZTurbo contract is IEEE
-bit-identity, not statistical agreement):
+The turbo engine runs Fig. 2 only, so Fig. 2 is what this compares,
+exactly (no tolerances — the ZTurbo contract is IEEE bit-identity, not
+statistical agreement). Fig. 2 runs at a reduced scale, once per engine
+with a fresh observability context each. Compared: the analytic and
+simulated CDF arrays, the KS distances, every eviction priority behind
+them, and the full metrics snapshots (modulo the ``engine_turbo`` /
+``engine_fallback`` capability gauges — presence keys recording which
+engine ran, not measurements). Serial vs 2-worker identity of the CMP
+sweep is checked by ``scripts/parallel_check.py``.
 
-1. **Fig. 2** at a reduced scale, run once per engine with a fresh
-   observability context each. Compared: the analytic and simulated CDF
-   arrays, the KS distances, every eviction priority behind them, and
-   the full metrics snapshots (modulo the ``engine_turbo`` /
-   ``engine_fallback`` capability gauges — presence keys recording
-   which engine ran, not measurements).
-2. **A CMP design sweep** (one workload, three designs, LRU) replayed
-   through the reference engine serially and through the turbo engine
-   both serially and under two worker processes. Compared: the complete
-   ``CMPResult.to_dict()`` payloads — miss rates, cycles, per-bank
-   counters, eviction priorities, walk statistics.
-
-Exit 0 on identity, 1 with a diff summary otherwise. Scales are small
+Exit 0 on identity, 1 with a diff summary otherwise. The scale is small
 on purpose: the point is equality, and ``tests/kernels`` fuzzes the
 corner cases while ``BENCH_kernels.json`` tracks the speedup.
 
 Usage::
 
-    python scripts/diff_engines.py [--accesses N] [--instructions N]
+    python scripts/diff_engines.py [--accesses N] [--cache-blocks N]
 """
 
 from __future__ import annotations
@@ -108,56 +103,15 @@ def diff_fig2(accesses: int, cache_blocks: int) -> list[str]:
     return problems
 
 
-def diff_sweep(instructions: int) -> list[str]:
-    """Mismatch descriptions for the CMP sweep comparison."""
-    from repro.assoc import TrackedPolicy
-    from repro.experiments.runner import ExperimentScale, run_design_sweep
-    from repro.sim import L2DesignConfig
-
-    designs = (
-        L2DesignConfig(kind="sa", ways=4, hash_kind="h3"),
-        L2DesignConfig(kind="skew", ways=4),
-        L2DesignConfig(kind="z", ways=4, levels=2),
-    )
-    scale = ExperimentScale(instructions_per_core=instructions)
-
-    def payload(engine: str, jobs: int) -> dict:
-        sweep = run_design_sweep(
-            "canneal",
-            designs,
-            policies=("lru",),
-            scale=scale,
-            policy_wrapper=TrackedPolicy,
-            jobs=jobs,
-            engine=engine,
-        )
-        return {key: r.to_dict() for key, r in sweep.results.items()}
-
-    reference = payload("reference", jobs=1)
-    problems = []
-    for label, jobs in (("turbo serial", 1), ("turbo 2-worker", 2)):
-        got = payload("turbo", jobs=jobs)
-        if got != reference:
-            diff_keys = [k for k in reference if got.get(k) != reference[k]]
-            problems.append(
-                f"sweep: {label} differs from reference at {diff_keys}"
-            )
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--accesses", type=int, default=20_000)
     parser.add_argument("--cache-blocks", type=int, default=512)
-    parser.add_argument("--instructions", type=int, default=2_000)
     args = parser.parse_args(argv)
 
     problems = diff_fig2(args.accesses, args.cache_blocks)
     print(f"fig2: {'identical' if not problems else 'MISMATCH'}")
-    sweep_problems = diff_sweep(args.instructions)
-    print(f"sweep: {'identical' if not sweep_problems else 'MISMATCH'}")
-    problems += sweep_problems
 
     if problems:
         for p in problems:

@@ -15,8 +15,8 @@ three independent enforcement prongs:
   along one concrete run. Run via ``zcache-repro check --sanitize``.
 - :mod:`repro.analysis.modelcheck` — an exhaustive bounded model
   checker enumerating *every* access sequence over tiny geometries,
-  checking the registry invariants plus reference↔turbo bit-identity
-  each step. Run via ``zcache-repro check --model``.
+  checking the registry invariants each step. Run via
+  ``zcache-repro check --model``.
 
 See ``docs/specs.md`` and the "Analysis & sanitizer layer" section of
 ``docs/architecture.md``.

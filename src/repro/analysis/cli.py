@@ -219,7 +219,7 @@ def run_check(argv: list[str]) -> int:
     an unsanitized baseline run. With ``--model``, the exhaustive
     bounded model checker runs *instead*: every access sequence to
     ``--model-depth`` over the tiny default geometries, checking all
-    registry invariants plus reference↔turbo bit-identity. With
+    registry invariants. With
     ``--lockset``, the dynamic lockset sanitizer runs *instead*:
     threaded serve traffic through an instrumented shard (must come
     back clean), then a planted unlocked shard (must be flagged).

@@ -8,15 +8,12 @@ zcache with 2 lines per way has 4 blocks — small enough that a few
 addresses exercise every fill/evict/relocate interleaving) and checks:
 
 - every ``state``-scope registry invariant after every transition;
-- reference ↔ turbo bit-identity (results, statistics, and full array
-  state) when the configuration has a turbo twin — the exhaustive dual
-  of ``scripts/diff_engines.py``'s sampled differential runs;
 - that no transition raises (an :class:`InvariantViolation` from a
   sanitized reference array surfaces here with the exact access
   sequence that produced it).
 
 States are memoized under a canonical form (line contents, policy
-recency order, dirty set, and the turbo twin's dense mirrors) so the
+recency order and dirty set) so the
 search visits each distinct state once per remaining depth; the
 counterexample for any violation is the concrete op sequence, directly
 replayable in a debugger.
@@ -56,20 +53,16 @@ _MAX_VIOLATIONS = 8
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One machine to check: builders plus the op alphabet.
+    """One machine to check: a builder plus the op alphabet.
 
     ``build_reference`` must return a reference-engine cache (its array
-    may be wrapped in a :class:`SanitizedArray`); ``build_turbo``, when
-    set, must return the *same* machine with ``engine="turbo"`` — the
-    checker asserts the turbo kernel actually engaged rather than
-    silently falling back to reference.
+    may be wrapped in a :class:`SanitizedArray`).
     """
 
     name: str
     description: str
     addresses: Tuple[int, ...]
     build_reference: Callable[[], Cache]
-    build_turbo: Optional[Callable[[], Cache]] = None
     #: subset of ``addresses`` also exercised as writes / invalidates —
     #: kept small deliberately: every op multiplies the branch factor,
     #: and a couple of dirty-able addresses already reach every
@@ -169,30 +162,11 @@ def _policy_canon(cache: Cache) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _turbo_canon(cache: Cache) -> Optional[tuple]:
-    """Canonical form of the turbo core's dense mirrors, if engaged."""
-    turbo = cache._turbo
-    if turbo is None:
-        return None
-    tags = tuple(int(t) for t in turbo.tags)
-    stamp = getattr(turbo.pk, "stamp", None)
-    order: Optional[Tuple[int, ...]] = None
-    if stamp is not None:
-        occupied = [slot for slot, tag in enumerate(tags) if tag >= 0]
-        order = tuple(sorted(occupied, key=lambda s: int(stamp[s])))
-    return (tags, order)
-
-
 def _cache_canon(cache: Cache) -> tuple:
-    """Full canonical state of one cache (reference or turbo)."""
+    """Full canonical state of one cache."""
     array = _bare(cache.array)
     lines = tuple(tuple(way) for way in array._lines)
-    return (
-        lines,
-        _policy_canon(cache),
-        frozenset(cache._dirty),
-        _turbo_canon(cache),
-    )
+    return (lines, _policy_canon(cache), frozenset(cache._dirty))
 
 
 # ---------------------------------------------------------------------------
@@ -222,47 +196,16 @@ def _state_detail(array: CacheArray) -> Optional[str]:
     return None
 
 
-def _step(
-    cfg: ModelConfig, ref: Cache, turbo: Optional[Cache], op: Op
-) -> Optional[str]:
-    """Apply ``op`` to both twins; return a violation message or None."""
+def _step(cache: Cache, op: Op) -> Optional[str]:
+    """Apply ``op``; return a violation message or None."""
     try:
-        ref_out = _apply(ref, op)
+        _apply(cache, op)
     except Exception:
         tail = traceback.format_exc(limit=1).strip().splitlines()[-1]
         return f"reference engine raised: {tail}"
-    detail = _state_detail(_bare(ref.array))
+    detail = _state_detail(_bare(cache.array))
     if detail is not None:
         return f"reference state invariant failed: {detail}"
-    if turbo is None:
-        return None
-    try:
-        turbo_out = _apply(turbo, op)
-    except Exception:
-        tail = traceback.format_exc(limit=1).strip().splitlines()[-1]
-        return f"turbo engine raised: {tail}"
-    detail = _state_detail(_bare(turbo.array))
-    if detail is not None:
-        return f"turbo state invariant failed: {detail}"
-    if ref_out != turbo_out:
-        return f"result divergence: reference={ref_out!r} turbo={turbo_out!r}"
-    ref_stats = ref.stats.as_dict()
-    turbo_stats = turbo.stats.as_dict()
-    if ref_stats != turbo_stats:
-        diff = {
-            k: (ref_stats[k], turbo_stats.get(k))
-            for k in ref_stats
-            if ref_stats[k] != turbo_stats.get(k)
-        }
-        return f"statistics divergence: {diff}"
-    ref_array, turbo_array = _bare(ref.array), _bare(turbo.array)
-    if ref_array._lines != turbo_array._lines:
-        return (
-            f"array divergence: reference lines {ref_array._lines} != "
-            f"turbo lines {turbo_array._lines}"
-        )
-    if ref_array._pos != turbo_array._pos:
-        return "position-map divergence between engines"
     return None
 
 
@@ -275,20 +218,8 @@ def _explore(cfg: ModelConfig, depth: int, result: ConfigResult) -> None:
     ops = cfg.ops()
     memo: Dict[tuple, int] = {}
 
-    ref = cfg.build_reference()
-    turbo: Optional[Cache] = None
-    if cfg.build_turbo is not None:
-        turbo = cfg.build_turbo()
-        if turbo.engine != "turbo":
-            raise ValueError(
-                f"config {cfg.name!r}: build_turbo produced a cache whose "
-                f"turbo kernel declined (engine={turbo.engine!r})"
-            )
-
-    def walk(
-        ref: Cache, turbo: Optional[Cache], remaining: int, trail: Tuple[str, ...]
-    ) -> None:
-        canon = (_cache_canon(ref), None if turbo is None else _cache_canon(turbo))
+    def walk(cache: Cache, remaining: int, trail: Tuple[str, ...]) -> None:
+        canon = _cache_canon(cache)
         if memo.get(canon, -1) >= remaining:
             return
         if canon not in memo:
@@ -299,11 +230,11 @@ def _explore(cfg: ModelConfig, depth: int, result: ConfigResult) -> None:
         # One dump per expanded node, one load per branch: measurably
         # cheaper than deepcopy-per-branch, and the snapshot cost is
         # what dominates the whole search.
-        blob = pickle.dumps((ref, turbo), protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(cache, protocol=pickle.HIGHEST_PROTOCOL)
         for op in ops:
-            branch_ref, branch_turbo = pickle.loads(blob)
+            branch = pickle.loads(blob)
             result.transitions += 1
-            message = _step(cfg, branch_ref, branch_turbo, op)
+            message = _step(branch, op)
             next_trail = trail + (_op_label(op),)
             if message is not None:
                 result.violations.append(
@@ -314,9 +245,9 @@ def _explore(cfg: ModelConfig, depth: int, result: ConfigResult) -> None:
                 if len(result.violations) >= _MAX_VIOLATIONS:
                     return
                 continue
-            walk(branch_ref, branch_turbo, remaining - 1, next_trail)
+            walk(branch, remaining - 1, next_trail)
 
-    walk(ref, turbo, depth, ())
+    walk(cfg.build_reference(), depth, ())
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +255,18 @@ def _explore(cfg: ModelConfig, depth: int, result: ConfigResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tiny_zcache(engine: str, sanitized: bool) -> Cache:
-    array: CacheArray = ZCacheArray(2, 2, levels=2, hash_kind="h3", hash_seed=7)
-    if sanitized:
-        array = SanitizedArray(array, deep_check_interval=1)
-    return Cache(array, LRU(), name="model-z", engine=engine)
+def _tiny_zcache() -> Cache:
+    array = ZCacheArray(2, 2, levels=2, hash_kind="h3", hash_seed=7)
+    return Cache(
+        SanitizedArray(array, deep_check_interval=1), LRU(), name="model-z"
+    )
 
 
-def _tiny_setassoc(engine: str, sanitized: bool) -> Cache:
-    array: CacheArray = SetAssociativeArray(2, 2, hash_kind="bitsel")
-    if sanitized:
-        array = SanitizedArray(array, deep_check_interval=1)
-    return Cache(array, LRU(), name="model-sa", engine=engine)
+def _tiny_setassoc() -> Cache:
+    array = SetAssociativeArray(2, 2, hash_kind="bitsel")
+    return Cache(
+        SanitizedArray(array, deep_check_interval=1), LRU(), name="model-sa"
+    )
 
 
 def _tiny_twophase() -> Cache:
@@ -355,28 +286,22 @@ def _tiny_twophase() -> Cache:
 
 
 def default_configs() -> Tuple[ModelConfig, ...]:
-    """The CI gate's geometries: two engine-lockstep, one two-phase."""
+    """The CI gate's geometries: zcache, set-associative, two-phase."""
     return (
         ModelConfig(
             name="zcache-2w2l-lru",
-            description=(
-                "2-way/2-line zcache, LRU: sanitized reference vs turbo "
-                "ZWalk kernel in lockstep"
-            ),
+            description="2-way/2-line zcache, LRU: sanitized reference",
             addresses=(1, 2, 3, 4, 5),
-            build_reference=lambda: _tiny_zcache("reference", sanitized=True),
-            build_turbo=lambda: _tiny_zcache("turbo", sanitized=False),
+            build_reference=_tiny_zcache,
             write_addresses=(1, 2),
         ),
         ModelConfig(
             name="setassoc-2w2s-lru",
             description=(
-                "2-way/2-set set-associative, LRU: sanitized reference vs "
-                "turbo SetWalk kernel in lockstep"
+                "2-way/2-set set-associative, LRU: sanitized reference"
             ),
             addresses=(1, 2, 3, 4),
-            build_reference=lambda: _tiny_setassoc("reference", sanitized=True),
-            build_turbo=lambda: _tiny_setassoc("turbo", sanitized=False),
+            build_reference=_tiny_setassoc,
             write_addresses=(1, 2),
             invalidate_addresses=(3,),
         ),

@@ -134,12 +134,16 @@ def rules_signature(rules: Optional[List[DeepRule]] = None) -> str:
     Folded into the analysis cache so editing a rule's *logic* — not
     just the analyzed modules — invalidates cached findings. Without
     this, a rule fix would silently keep serving stale results for
-    every module whose closure fingerprint did not change.
+    every module whose closure fingerprint did not change. A rule's
+    logic includes the module-level tables it reads (ZS107's roots and
+    exemptions, say), so the hash covers each rule's whole defining
+    module, not just its class body.
     """
     pool = rules if rules is not None else default_deep_rules()
     digest = hashlib.sha256()
     for chunk in sorted(
-        rule.code + inspect.getsource(type(rule)) for rule in pool
+        rule.code + inspect.getsource(inspect.getmodule(type(rule)))
+        for rule in pool
     ):
         digest.update(chunk.encode("utf-8"))
     return digest.hexdigest()[:16]

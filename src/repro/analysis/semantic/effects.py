@@ -30,7 +30,8 @@ over the static call graph. Four deep rules consume the analysis:
   precede mutation (or the function carries ``# zspec: atomic``).
 - **ZS107 engine fold parity** — the static dual of
   ``scripts/diff_engines.py``: every counter folded on the reference
-  access path (``Cache`` + ``ZCacheArray``) must also be folded on the
+  access path (``Cache`` + ``RandomCandidatesArray``, the one array the
+  turbo engine runs) must also be folded on the
   ``TurboCore`` path, minus the documented exemptions.
 - **ZS108 RNG-draw discipline** — simulator packages (``core``,
   ``kernels``) must route all entropy through seeded ``random.Random``
@@ -86,9 +87,13 @@ _RNG_MODULES = frozenset({"random", "numpy", "numpy.random"})
 
 #: counters the reference path folds that the turbo path, by design,
 #: never can: the turbo engine declines pinned caches (pin_overflows)
-#: and candidate-limited walks (truncated_walks) in try_build_turbo,
-#: so those counters are structurally zero under turbo
-TURBO_EXEMPT_COUNTERS = frozenset({"pin_overflows", "truncated_walks"})
+#: in try_build_turbo, and it runs only random-candidates arrays,
+#: which never truncate a walk (truncated_walks) and never relocate a
+#: block (relocations) — so those counters are structurally zero
+#: under turbo
+TURBO_EXEMPT_COUNTERS = frozenset(
+    {"pin_overflows", "relocations", "truncated_walks"}
+)
 
 #: marker comment exempting a function from ZS106 (the author asserts
 #: the raise-after-mutation either restores state or is unreachable)
@@ -458,7 +463,7 @@ class ExceptionStateSafetyRule(DeepRule):
 #: as explicit roots)
 _REFERENCE_ROOTS = (
     ("Cache", ("access", "invalidate", "absorb_writeback")),
-    ("ZCacheArray", ("build_replacement", "commit_replacement")),
+    ("RandomCandidatesArray", ("build_replacement", "commit_replacement")),
 )
 _TURBO_ROOTS = (("TurboCore", ("access", "invalidate")),)
 

@@ -13,7 +13,7 @@ machine-checkable predicate. Three backends consume the registry:
   invariant whose predicate reports a violation.
 - :mod:`repro.analysis.modelcheck` exhaustively enumerates access
   sequences over tiny geometries and evaluates every state-scope
-  invariant (plus reference↔turbo bit-identity) at each step.
+  invariant at each step.
 - The planned fault-injection campaign (ROADMAP item 5) reuses the
   registry as its detector vocabulary: an injected fault is *detected*
   when some registered invariant fires.

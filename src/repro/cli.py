@@ -128,8 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engine", choices=("reference", "turbo"), default="reference",
         help="cache access engine: 'turbo' runs the ZTurbo vectorized "
-        "kernels where supported (bit-identical results; currently "
-        "honoured by fig2)",
+        "kernels (bit-identical results; honoured by fig2 only)",
     )
     parser.add_argument(
         "--json", type=str, default=None, metavar="PATH",

@@ -131,9 +131,11 @@ class Cache:
     engine:
         ``"reference"`` (default) runs the per-candidate Python
         protocol below; ``"turbo"`` delegates accesses to the ZTurbo
-        vectorized core (:mod:`repro.kernels`) when the configuration
-        is supported, silently falling back to the reference path when
-        it is not. Both engines are bit-identical in every observable
+        vectorized core (:mod:`repro.kernels`) for Fig. 2's
+        configuration (a random-candidates array under LRU, optionally
+        tracked) and falls back to the reference path, with a
+        :class:`~repro.kernels.engine.TurboFallbackWarning`, for any
+        other. Both engines are bit-identical in every observable
         (victims, priorities, counters, final contents) — asserted by
         ``scripts/diff_engines.py``. The :attr:`engine` attribute holds
         the engine actually running.

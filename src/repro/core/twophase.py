@@ -57,7 +57,6 @@ class TwoPhaseZCache(Cache):
         policy: ReplacementPolicy,
         name: str = "z2p",
         obs: Optional[ObsContext] = None,
-        engine: str = "reference",
     ) -> None:
         # Accept the array itself or a sanitizer-style proxy exposing
         # the wrapped array as ``.array`` (ZServe's soak harness wraps
@@ -65,10 +64,7 @@ class TwoPhaseZCache(Cache):
         unwrapped = getattr(array, "array", array)
         if not isinstance(unwrapped, ZCacheArray):
             raise TypeError("TwoPhaseZCache requires a ZCacheArray")
-        # ``engine="turbo"`` is accepted for interface symmetry but the
-        # two-phase protocol has no kernel implementation, so
-        # try_build_turbo declines it and the reference path runs.
-        super().__init__(array, policy, name=name, obs=obs, engine=engine)
+        super().__init__(array, policy, name=name, obs=obs)
         registry = self.stats.registry
         self._c_sp_walks = registry.counter("second_phase_walks")
         self._c_sp_wins = registry.counter("second_phase_wins")

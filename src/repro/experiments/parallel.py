@@ -239,14 +239,7 @@ def _sweep_fingerprint(
     scale: ExperimentScale,
     jobs: Sequence[SweepJob],
 ) -> dict:
-    """Identity of a sweep: same fingerprint == checkpoint is resumable.
-
-    The engine is part of the identity: both engines are bit-identical
-    *when supported*, but a turbo run silently falls back per-cache for
-    unsupported configurations, so resuming a reference checkpoint
-    under ``--engine turbo`` (or vice versa) would mix results whose
-    provenance can no longer be told apart.
-    """
+    """Identity of a sweep: same fingerprint == checkpoint is resumable."""
     return {
         "version": CHECKPOINT_VERSION,
         "seed": scale.seed,
@@ -254,7 +247,6 @@ def _sweep_fingerprint(
         "num_cores": cfg.num_cores,
         "l2_blocks": cfg.l2_blocks,
         "l2_banks": cfg.l2_banks,
-        "engine": cfg.engine,
         "jobs": sorted(j.key for j in jobs),
     }
 
@@ -693,11 +685,6 @@ def run_sweep_cli(argv: list) -> int:
     parser.add_argument("--instructions", type=int, default=6_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--engine", choices=("reference", "turbo"), default="reference",
-        help="bank access engine: 'turbo' runs the ZTurbo vectorized "
-        "kernels (bit-identical; unsupported policies fall back)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None,
         help="soft per-job timeout in seconds (one retry, then serial)",
     )
@@ -732,7 +719,7 @@ def run_sweep_cli(argv: list) -> int:
         designs=DESIGNS_FIG4,
         policies=tuple(args.policies.split(",")),
         scale=scale,
-        cfg=CMPConfig(engine=args.engine),
+        cfg=CMPConfig(),
         jobs=args.jobs,
         timeout=args.timeout,
         checkpoint=args.checkpoint,

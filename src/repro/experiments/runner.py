@@ -75,7 +75,6 @@ def run_design_sweep(
     policy_wrapper=None,
     obs: Optional[ObsContext] = None,
     jobs: int = 1,
-    engine: Optional[str] = None,
 ) -> SweepResult:
     """Capture a workload's L2 stream once, replay it per design/policy.
 
@@ -95,14 +94,8 @@ def run_design_sweep(
     a per-design scope, and the context's heartbeat records progress.
     Without one, a heartbeat is still honoured if the
     ``ZCACHE_PROGRESS_LOG`` environment variable names a log file.
-
-    ``engine`` (``"reference"`` / ``"turbo"``) overrides ``cfg.engine``
-    for every replayed bank — a convenience so callers don't have to
-    rebuild the :class:`~repro.sim.CMPConfig` to switch engines.
     """
     cfg = cfg or CMPConfig()
-    if engine is not None:
-        cfg = replace(cfg, engine=engine)
     if jobs > 1:
         from repro.experiments.parallel import run_parallel_sweeps
 
@@ -163,7 +156,6 @@ def collect_design_sweeps(
     cfg: Optional[CMPConfig] = None,
     jobs: int = 1,
     obs: Optional[ObsContext] = None,
-    engine: Optional[str] = None,
 ) -> dict:
     """Sweep several workloads; returns workload name -> SweepResult.
 
@@ -175,8 +167,6 @@ def collect_design_sweeps(
     """
     workloads = list(workloads)
     designs = list(designs)
-    if engine is not None:
-        cfg = replace(cfg or CMPConfig(), engine=engine)
     if jobs > 1:
         from repro.experiments.parallel import run_parallel_sweeps
 

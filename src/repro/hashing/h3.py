@@ -61,16 +61,3 @@ class H3Hash(HashFunction):
     def matrix(self) -> list[int]:
         """Return the row masks defining this function (for inspection)."""
         return list(self._rows)
-
-    def prime(self, addresses, indices) -> None:
-        """Pre-fill the memo with externally computed (address, index) pairs.
-
-        The ZTurbo replay driver hashes a trace's whole address roster in
-        one vectorized pass (:func:`repro.kernels.h3.prime_h3`) and
-        deposits the results here, so later scalar calls are dict hits.
-        Callers are trusted to supply values equal to ``self(address)``;
-        the kernel test suite asserts the vector path matches bit for bit.
-        """
-        memo = self._memo
-        for address, index in zip(addresses, indices):
-            memo[address] = index

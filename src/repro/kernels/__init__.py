@@ -14,39 +14,31 @@ Modules
 ``rng``
     :class:`~repro.kernels.rng.MTStream`: a numpy ``MT19937`` bit-synced
     to a ``random.Random``, reproducing CPython's ``getrandbits`` /
-    ``randrange`` / ``random`` draw-for-draw in bulk.
-``h3``
-    Vectorized H3 index hashing over address batches, plus generic
-    vector adapters for the other hash kinds.
-``walk``
-    The breadth-first replacement walk as flat array slices — all
-    ``R = W * sum (W-1)^l`` candidates of a miss collected without
-    building the candidate tree out of Python objects.
+    ``randrange`` draw-for-draw in bulk.
 ``policy``
-    Dense slot-indexed victim selection and eviction-priority ranking
-    for the LRU / FIFO (coarse-timestamp) / random policies.
+    Dense slot-indexed LRU victim selection and eviction-priority
+    ranking.
 ``engine``
     :class:`~repro.kernels.engine.TurboCore`, the drop-in access engine
     a :class:`~repro.core.controller.Cache` constructed with
     ``engine="turbo"`` delegates to.
 ``replay``
-    Batched drivers: bulk address generation for the Fig. 2 loop and
-    chunked hash pre-priming for ``CapturedTrace`` replays.
+    Bulk address generation for the Fig. 2 loop.
 
-Engine selection is deliberately conservative: ``try_build_turbo``
-returns ``None`` (and the cache stays on the reference path, recorded in
-its metrics) for any array/policy combination the kernels cannot
-reproduce exactly. See ``docs/kernels.md``.
+The engine covers exactly one configuration, the one Fig. 2 runs: a
+:class:`~repro.core.randomcand.RandomCandidatesArray` under LRU, bare
+or tracked. There it is about 6x faster than the reference engine. On
+the CMP sweep behind Fig. 4/5 a vectorized walk measured 0.7x of the
+reference, so every other array/policy combination makes
+``try_build_turbo`` return ``None`` and the cache stays on the
+reference path, recorded in its metrics. See ``docs/kernels.md``.
 """
 
 from repro.kernels.engine import TurboCore, try_build_turbo
-from repro.kernels.h3 import VectorH3, vector_hashes
 from repro.kernels.rng import MTStream
 
 __all__ = [
     "MTStream",
     "TurboCore",
-    "VectorH3",
     "try_build_turbo",
-    "vector_hashes",
 ]

@@ -12,14 +12,14 @@ identical counter increments, identical victim choices, identical
 eviction-priority values, identical final array contents — it just
 stores the hot state densely:
 
-- a ``tags`` int64 mirror of the array (−1 = empty), indexed by global
-  slot id ``way * lines_per_way + index``, gathered by the walk kernels;
-- a policy kernel (:mod:`repro.kernels.policy`) holding per-slot scores,
-  so victim selection is an argmin/argmax and the eviction-priority rank
-  one vectorized comparison instead of a sorted-multiset update per
-  access;
-- pre-synced RNG streams (:mod:`repro.kernels.rng`) reproducing the
-  reference ``random.Random`` draws bit for bit.
+- a ``tags`` int64 mirror of the array (−1 = empty), indexed by slot
+  (a random-candidates array is one way, so a slot is a line index);
+- a policy kernel (:mod:`repro.kernels.policy`) holding per-slot LRU
+  stamps, so victim selection is an argmin and the eviction-priority
+  rank one vectorized comparison instead of a sorted-multiset update
+  per access;
+- a pre-synced candidate-draw pool (:mod:`repro.kernels.rng`)
+  reproducing the array's ``random.Random`` draws bit for bit.
 
 The array's authoritative structures (``_lines``, ``_pos``, and the
 random-candidates free list) are written through on every mutation, so
@@ -32,23 +32,25 @@ information lives in the policy kernel instead (the tracked
 cache must therefore stay on one engine for its whole life; the
 constructor-time switch enforces that.
 
-Supported configurations (everything else falls back):
+Supported configuration — Fig. 2's random-candidates cache; everything
+else falls back with a named reason:
 
 ========================  =====================================================
-array                     ``RandomCandidatesArray``, ``SetAssociativeArray``,
-                          ``ZCacheArray``/``SkewAssociativeArray`` with BFS
-                          strategy, no repeat filter, no candidate limit
-policy                    ``LRU``, ``FIFO``, ``RandomPolicy`` — bare or wrapped
-                          in exactly ``TrackedPolicy``
+array                     ``RandomCandidatesArray``
+policy                    ``LRU``, bare or wrapped in exactly ``TrackedPolicy``
 controller                plain ``Cache`` (not ``TwoPhaseZCache``), tracing
                           disabled, nothing pinned, array and policy empty
 ========================  =====================================================
+
+Set-associative, skew and zcache arrays are deliberately not covered:
+on the CMP sweep (Fig. 4/5) a vectorized walk ran at 0.7x of the
+reference engine, so the reference path is the only one there.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -56,22 +58,17 @@ from repro.assoc.measurement import TrackedPolicy
 from repro.core.base import Position
 from repro.core.controller import AccessResult
 from repro.core.randomcand import RandomCandidatesArray
-from repro.core.setassoc import SetAssociativeArray
-from repro.core.skew import SkewAssociativeArray
-from repro.core.zcache import ZCacheArray
-from repro.kernels.policy import RandomKernel, StampKernel
+from repro.kernels.policy import StampKernel
 from repro.kernels.rng import MTStream, RandrangePool
-from repro.kernels.walk import SetWalk, ZWalk
-from repro.replacement.lru import FIFO, LRU
-from repro.replacement.random_policy import RandomPolicy
+from repro.replacement.lru import LRU
 
 if TYPE_CHECKING:
     from repro.core.controller import Cache
 
-PolicyKernel = Union[StampKernel, RandomKernel]
 
-
-def _build_policy_kernel(cache: "Cache") -> Optional[tuple[PolicyKernel, Optional[TrackedPolicy]]]:
+def _build_policy_kernel(
+    cache: "Cache",
+) -> Optional[tuple[StampKernel, Optional[TrackedPolicy]]]:
     """Policy kernel + optional tracker for the cache's policy, or None."""
     policy = cache.policy
     tracked: Optional[TrackedPolicy] = None
@@ -80,19 +77,9 @@ def _build_policy_kernel(cache: "Cache") -> Optional[tuple[PolicyKernel, Optiona
         if tracked._mirror:
             return None
         policy = policy.inner
-    num_blocks = cache.array.num_blocks
-    if type(policy) is LRU or type(policy) is FIFO:
-        if policy._stamp:
-            return None
-        kernel: PolicyKernel = StampKernel(
-            num_blocks, counter=policy._counter, bump_on_hit=type(policy) is LRU
-        )
-        return kernel, tracked
-    if type(policy) is RandomPolicy:
-        if policy._priority:
-            return None
-        return RandomKernel(num_blocks, policy._rng), tracked
-    return None
+    if type(policy) is not LRU or policy._stamp:
+        return None
+    return StampKernel(cache.array.num_blocks, counter=policy._counter), tracked
 
 
 class TurboFallbackWarning(RuntimeWarning):
@@ -145,6 +132,8 @@ def try_build_turbo_explain(
     if cache._pinned:
         return None, "pinned blocks present"
     array = cache.array
+    if type(array) is not RandomCandidatesArray:
+        return None, f"unsupported array type {type(array).__name__}"
     if array._pos:
         return None, "array not empty"
     built = _build_policy_kernel(cache)
@@ -153,25 +142,8 @@ def try_build_turbo_explain(
         inner = policy.inner if type(policy) is TrackedPolicy else policy
         return None, f"unsupported policy {type(inner).__name__}"
     kernel, tracked = built
-    if type(array) is RandomCandidatesArray:
-        return TurboCore(cache, kernel, tracked, pool=RandrangePool(
-            MTStream(array._rng), array.lines_per_way
-        )), ""
-    if type(array) is SetAssociativeArray:
-        walk: Union[SetWalk, ZWalk] = SetWalk(
-            array.num_ways, array.lines_per_way, array.index_hash
-        )
-        return TurboCore(cache, kernel, tracked, walk=walk), ""
-    if type(array) in (ZCacheArray, SkewAssociativeArray):
-        if array.strategy != "bfs":
-            return None, f"unsupported walk strategy {array.strategy!r}"
-        if array.repeat_filter is not None:
-            return None, "repeat filter installed"
-        if array.candidate_limit is not None:
-            return None, "candidate limit installed"
-        walk = ZWalk(array.num_ways, array.lines_per_way, array.levels, array.hashes)
-        return TurboCore(cache, kernel, tracked, walk=walk), ""
-    return None, f"unsupported array type {type(array).__name__}"
+    pool = RandrangePool(MTStream(array._rng), array.lines_per_way)
+    return TurboCore(cache, kernel, tracked, pool), ""
 
 
 def try_build_turbo(cache: "Cache") -> Optional["TurboCore"]:
@@ -185,29 +157,23 @@ class TurboCore:
     def __init__(
         self,
         cache: "Cache",
-        policy_kernel: PolicyKernel,
+        policy_kernel: StampKernel,
         tracked: Optional[TrackedPolicy],
-        walk: Optional[Union[SetWalk, ZWalk]] = None,
-        pool: Optional[RandrangePool] = None,
+        pool: RandrangePool,
     ) -> None:
+        array = cache.array
+        assert isinstance(array, RandomCandidatesArray)
         self.cache = cache
-        self.array = cache.array
+        self.array = array
         self.pk = policy_kernel
         self.tracked = tracked
-        self.walk = walk
         self.pool = pool
-        self.tags = np.full(self.array.num_blocks, -1, dtype=np.int64)
-        self._lines = self.array._lines
-        self._pos = self.array._pos
-        self._lpw = self.array.lines_per_way
+        self.tags = np.full(array.num_blocks, -1, dtype=np.int64)
+        self._line = array._lines[0]
+        self._pos = array._pos
+        self._free = array._free
         self._dirty = cache._dirty
-        self._num_cand = (
-            self.array.num_candidates
-            if isinstance(self.array, RandomCandidatesArray)
-            else 0
-        )
-        zc = self.array if isinstance(self.array, ZCacheArray) else None
-        self._zc = zc
+        self._num_cand = array.num_candidates
         self._batch_hook: Optional[Callable[[int], None]] = None
         self._batch_every = 0
         self._batch_count = 0
@@ -248,18 +214,16 @@ class TurboCore:
     # -- slot/array mirroring ------------------------------------------------
     def _install(self, slot: int, address: int) -> None:
         self.tags[slot] = address
-        way, index = divmod(slot, self._lpw)
-        self._lines[way][index] = address
-        self._pos[address] = Position(way, index)
+        self._line[slot] = address
+        self._pos[address] = Position(0, slot)
 
     def _clear(self, slot: int, address: int) -> None:
         self.tags[slot] = -1
-        way, index = divmod(slot, self._lpw)
-        self._lines[way][index] = None
+        self._line[slot] = None
         del self._pos[address]
 
     # -- tracked-priority bookkeeping ----------------------------------------
-    def _record_eviction(self, victim_slot: int, victim_addr: int) -> None:
+    def _record_eviction(self, victim_slot: int) -> None:
         """What ``TrackedPolicy.on_evict`` records, from dense state.
 
         Must run *before* the victim leaves the array: the rank is taken
@@ -270,7 +234,7 @@ class TurboCore:
         if tracked is None:
             return
         resident = len(self._pos)
-        rank = self.pk.rank(victim_slot, victim_addr, self.tags)
+        rank = self.pk.rank(victim_slot)
         tracked.priorities.append(
             rank / (resident - 1) if resident > 1 else 1.0
         )
@@ -296,13 +260,13 @@ class TurboCore:
         pos = self._pos.get(address)
         if pos is not None:
             self._c_hits.value += 1
-            self._c_tag_reads.value += self.array.num_ways
+            self._c_tag_reads.value += 1  # one way: one tag read
             if is_write:
                 self._c_data_writes.value += 1
                 self._dirty.add(address)
             else:
                 self._c_data_reads.value += 1
-            self.pk.on_hit(pos.way * self._lpw + pos.index)
+            self.pk.on_hit(pos.index)
             return AccessResult(address=address, hit=True)
 
         self._c_misses.value += 1
@@ -312,91 +276,8 @@ class TurboCore:
         return result
 
     def _fill(self, address: int) -> AccessResult:
-        if self.pool is not None:
-            return self._fill_random_candidates(address)
-        assert self.walk is not None
-        wr = self.walk.collect(address, self.tags)
         sc = self._sc
-        sc["walk_tag_reads"].value += wr.tag_reads
-        self._c_tag_reads.value += wr.tag_reads
-        zc = self._zc
-        if zc is not None:
-            zc._c_walks.value += 1
-            zc._c_tag_reads.value += wr.tag_reads
-            zc._c_candidates.value += len(wr.slots)
-            zc._c_repeats.value += wr.repeats
-
-        empty = wr.valid & (wr.addrs < 0)
-        evicted: Optional[int] = None
-        writeback = False
-        if empty.any():
-            # BFS order is level-nondecreasing, so the first valid empty
-            # candidate is the shallowest — Replacement.first_empty().
-            ci = int(np.argmax(empty))
-            sc["fills_empty"].value += 1
-        else:
-            usable = wr.valid & (wr.addrs >= 0)
-            cand = np.nonzero(usable)[0]
-            if len(cand) == 0:
-                raise RuntimeError(
-                    f"no usable replacement candidates for {address:#x}"
-                )
-            # Repeated positions gather equal scores; first-of-equals
-            # matches the reference first-occurrence dedup + first-wins
-            # victim scan.
-            ci = int(cand[self.pk.pick_victim(wr.slots[cand])])
-            victim_slot = int(wr.slots[ci])
-            evicted = int(wr.addrs[ci])
-            self._record_eviction(victim_slot, evicted)
-            self.pk.on_clear(victim_slot)
-            sc["evictions"].value += 1
-            if evicted in self._dirty:
-                self._dirty.remove(evicted)
-                sc["writebacks"].value += 1
-                writeback = True
-            self._clear(victim_slot, evicted)
-
-        # Relocation chain: each parent's block moves down into its
-        # child's (now free) slot; the root receives the incoming block.
-        relocations = 0
-        node = ci
-        parent = int(wr.parents[node])
-        while parent >= 0:
-            moving_addr = int(wr.addrs[parent])
-            src = int(wr.slots[parent])
-            dst = int(wr.slots[node])
-            self._clear(src, moving_addr)
-            self._install(dst, moving_addr)
-            self.pk.move(src, dst)
-            relocations += 1
-            node = parent
-            parent = int(wr.parents[node])
-        root_slot = int(wr.slots[node])
-        self._install(root_slot, address)
-        self.pk.on_insert(root_slot)
-
-        sc["relocations"].value += relocations
-        sc["tag_writes"].value += relocations + 1
-        self._c_data_reads.value += relocations
-        self._c_data_writes.value += relocations + 1
-        if zc is not None:
-            zc._c_relocations.value += relocations
-            zc.stats.record_commit_level(int(wr.levels[ci]))
-        return AccessResult(
-            address=address,
-            hit=False,
-            evicted=evicted,
-            writeback=writeback,
-            relocations=relocations,
-            filled_empty=evicted is None,
-        )
-
-    def _fill_random_candidates(self, address: int) -> AccessResult:
-        array = self.array
-        assert isinstance(array, RandomCandidatesArray)
-        assert self.pool is not None
-        sc = self._sc
-        free = array._free
+        free = self._free
         if free:
             slot = min(free)
             sc["walk_tag_reads"].value += 1
@@ -415,7 +296,7 @@ class TurboCore:
             # occurrence — the one the reference dedup keeps.
             slot = int(draws[self.pk.pick_victim(draws)])
             evicted = int(self.tags[slot])
-            self._record_eviction(slot, evicted)
+            self._record_eviction(slot)
             self.pk.on_clear(slot)
             sc["evictions"].value += 1
             writeback = False
@@ -448,15 +329,14 @@ class TurboCore:
         pos = self._pos.get(address)
         if pos is None:
             return False
-        slot = pos.way * self._lpw + pos.index
+        slot = pos.index
         # Reference order: the array drops the block, then the policy's
         # on_evict records the tracked priority. The rank is identical
         # either way (the victim's own entry is never counted), but the
         # resident count must still include the victim — so record first.
-        self._record_eviction(slot, address)
+        self._record_eviction(slot)
         self._clear(slot, address)
-        if isinstance(self.array, RandomCandidatesArray):
-            self.array._free.add(pos.index)
+        self._free.add(slot)
         self.pk.on_clear(slot)
         self.cache._pinned.discard(address)
         self._sc["invalidations"].value += 1

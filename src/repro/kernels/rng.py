@@ -7,8 +7,9 @@ numpy ships the same generator, and accepts exactly that state — so a
 ``random_raw``, the *identical* stream of 32-bit words the Python object
 would produce through ``getrandbits(32)``.
 
-On top of the raw word stream this module re-implements the two draw
-shapes the simulator uses, matching CPython 3.x semantics bit for bit:
+On top of the raw word stream this module re-implements the draw shape
+the simulator's bulk paths use, matching CPython 3.x semantics bit for
+bit:
 
 ``randrange(n)``
     ``_randbelow_with_getrandbits``: ``k = n.bit_length()`` bits per
@@ -16,9 +17,6 @@ shapes the simulator uses, matching CPython 3.x semantics bit for bit:
     log2(n)), rejecting values ``>= n``. For a run of draws, rejected
     words simply vanish from the accepted subsequence, so vectorizing is
     a mask: ``vals = words >> (32 - k); accepted = vals[vals < n]``.
-
-``random()``
-    Two words ``a, b``: ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
 
 The stream is *decoupled* from the source ``random.Random``: building an
 MTStream snapshots the state and does not advance the Python object.
@@ -108,18 +106,11 @@ class MTStream:
             have += len(accepted)
         return np.concatenate(parts) if len(parts) != 1 else parts[0]
 
-    def uniform(self, count: int) -> np.ndarray:
-        """The next ``count`` results of ``source.random()``, vectorized."""
-        w = self.words(2 * count).astype(np.uint64)
-        a = w[0::2] >> np.uint64(5)
-        b = w[1::2] >> np.uint64(6)
-        return (a * np.uint64(1 << 26) + b) * (1.0 / (1 << 53))
-
 
 class RandrangePool:
     """A lazily-refilled pool of ``randrange(n)`` draws from one stream.
 
-    The walk kernels consume candidate draws a handful at a time; the
+    The turbo engine consumes candidate draws a handful at a time; the
     pool amortizes the vectorized rejection sampling across thousands of
     draws while preserving stream order exactly.
     """

@@ -41,15 +41,21 @@ class PhaseTimer:
         print(timer.render())
 
     Phases can repeat (times accumulate) and nest (each phase records
-    its own wall span; nested spans are counted in both). A disabled
-    timer (``enabled=False``) makes :meth:`phase` a no-op so call sites
-    need no conditionals.
+    its own wall span, so a nested span is inside its parent's too). A
+    phase entered, or an :meth:`add` made, while another phase is open
+    is nested; :meth:`render` takes its total from top-level phases
+    only, so no second is counted twice. A disabled timer
+    (``enabled=False``) makes :meth:`phase` a no-op so call sites need
+    no conditionals.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._seconds: dict[str, float] = {}
         self._counts: dict[str, int] = {}
+        #: seconds recorded while no other phase was open
+        self._top: dict[str, float] = {}
+        self._open = 0
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -57,18 +63,25 @@ class PhaseTimer:
         if not self.enabled:
             yield
             return
+        top = self._open == 0
+        self._open += 1
         t0 = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - t0
-            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-            self._counts[name] = self._counts.get(name, 0) + 1
+            self._open -= 1
+            self._record(name, elapsed, top)
 
     def add(self, name: str, seconds: float) -> None:
         """Attribute an externally measured span to ``name``."""
+        self._record(name, seconds, self._open == 0)
+
+    def _record(self, name: str, seconds: float, top: bool) -> None:
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
         self._counts[name] = self._counts.get(name, 0) + 1
+        if top:
+            self._top[name] = self._top.get(name, 0.0) + seconds
 
     def seconds(self, name: str) -> float:
         """Accumulated wall time for ``name`` (0.0 if never entered)."""
@@ -81,17 +94,25 @@ class PhaseTimer:
         )
 
     def render(self) -> str:
-        """Aligned per-phase breakdown with percentage attribution."""
+        """Aligned per-phase breakdown with percentage attribution.
+
+        The total is the sum of top-level phases, and every share is a
+        fraction of it: the top-level shares sum to 100%, and a nested
+        phase (indented) shows its share of the whole run.
+        """
         report = self.report()
         if not report:
             return "(no phases recorded)"
-        total = sum(report.values())
-        width = max(len(n) for n in report)
+        total = sum(self._top.values())
+        labels = {
+            name: name if name in self._top else f"  {name}" for name in report
+        }
+        width = max(len(label) for label in labels.values())
         lines = [f"{'phase':<{width}}  {'seconds':>9}  {'share':>6}  calls"]
         for name, seconds in report.items():
             share = seconds / total if total > 0 else 0.0
             lines.append(
-                f"{name:<{width}}  {seconds:>9.3f}  {share:>5.1%}  "
+                f"{labels[name]:<{width}}  {seconds:>9.3f}  {share:>5.1%}  "
                 f"{self._counts.get(name, 0)}"
             )
         lines.append(f"{'total':<{width}}  {total:>9.3f}")

@@ -15,6 +15,10 @@ request                reply
 anything else          ``ERR <reason>``
 =====================  =======================================
 
+A request line longer than :data:`MAX_LINE_BYTES` (newline included)
+gets ``ERR line too long`` and the server closes that connection, so
+no client can make the server buffer without bound.
+
 The server is a stock :class:`socketserver.ThreadingTCPServer`: one
 thread per connection, all of them hammering the shared
 :class:`~repro.serve.service.ZServeCache` — which is the point; the
@@ -31,6 +35,9 @@ from typing import Any, Optional
 
 from repro.serve.service import ZServeCache
 
+#: longest request line the server reads, newline included
+MAX_LINE_BYTES = 64 * 1024
+
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: read request lines until EOF."""
@@ -39,8 +46,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         while True:
-            raw = self.rfile.readline()
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not raw:
+                return
+            if len(raw) > MAX_LINE_BYTES:
+                self.wfile.write(b"ERR line too long\n")
                 return
             reply = self.server.dispatch(raw.decode("utf-8", "replace"))
             self.wfile.write(reply.encode("utf-8") + b"\n")

@@ -511,14 +511,6 @@ class TraceDrivenRunner:
                 policy_wrapper=policy_wrapper,
                 obs=obs.scoped("l2") if obs is not None else None,
             )
-        if cfg.engine == "turbo":
-            # The captured stream's whole address roster is known up
-            # front: hash it through the vectorized H3 path once so the
-            # replay loop only takes memo hits on index computations.
-            from repro.kernels.replay import prime_trace_hashes
-
-            with spans.span("replay.prime"):
-                prime_trace_hashes(l2, captured)
         channel = _MemoryChannel(cfg)
         ports = _BankPorts(cfg)
         bank_latency = _bank_latency(cfg)

@@ -99,17 +99,8 @@ class CMPConfig:
     mem_bytes_per_cycle: float = 32.0
     line_bytes: int = 64
     l2_design: L2DesignConfig = field(default_factory=L2DesignConfig)
-    #: cache-access engine for every L2 bank: ``"reference"`` (pure
-    #: Python protocol) or ``"turbo"`` (ZTurbo vectorized kernels,
-    #: bit-identical, falling back per bank when unsupported — e.g.
-    #: OPT/SRRIP policies or candidate-limited walks).
-    engine: str = "reference"
 
     def __post_init__(self):
-        if self.engine not in ("reference", "turbo"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected 'reference' or 'turbo'"
-            )
         if self.num_cores < 1:
             raise ValueError("num_cores must be >= 1")
         if self.l2_blocks % self.l2_banks:

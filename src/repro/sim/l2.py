@@ -139,7 +139,6 @@ class BankedL2:
                     policy,
                     name=f"L2b{b}",
                     obs=obs.scoped(f"bank{b}") if obs is not None else None,
-                    engine=cfg.engine,
                 )
             )
         # Port-level counters (demand + writeback traffic per bank); the

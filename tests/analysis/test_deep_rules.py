@@ -357,7 +357,7 @@ def test_zs107_catches_removed_turbo_counter_fold(tmp_path):
     text = engine.read_text(encoding="utf-8")
     folds = [
         line for line in text.splitlines()
-        if "_c_candidates.value +=" in line
+        if '["fills_empty"].value +=' in line
     ]
     assert len(folds) == 1  # unique fold: removing it must break parity
     engine.write_text(text.replace(folds[0] + "\n", ""), encoding="utf-8")
@@ -365,7 +365,7 @@ def test_zs107_catches_removed_turbo_counter_fold(tmp_path):
     report, _ = run_deep([scratch], rules=[EngineFoldParityRule()])
     findings = [f for f in report.findings if f.code == "ZS107"]
     assert findings, "removed turbo counter fold was not caught"
-    assert any("candidates" in f.message for f in findings)
+    assert any("fills_empty" in f.message for f in findings)
     assert all(f.path.endswith("engine.py") for f in findings)
 
 

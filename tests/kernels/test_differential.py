@@ -1,6 +1,7 @@
 """Property test: turbo and reference engines are bit-identical.
 
-Hypothesis draws a random cache geometry, policy, seed and access trace;
+Hypothesis draws a random-candidates geometry (Fig. 2's array, the one
+the turbo engine runs), bare or tracked LRU, a seed and an access trace;
 the same trace replayed through ``engine="reference"`` and
 ``engine="turbo"`` must produce identical per-access results, eviction
 priorities, counters, final array contents and dirty state. This is the
@@ -16,35 +17,12 @@ from hypothesis import given, settings, strategies as st
 from repro.assoc.measurement import TrackedPolicy
 from repro.core.controller import Cache
 from repro.core.randomcand import RandomCandidatesArray
-from repro.core.setassoc import SetAssociativeArray
-from repro.core.skew import SkewAssociativeArray
-from repro.core.zcache import ZCacheArray
-from repro.replacement.lru import FIFO, LRU
-from repro.replacement.random_policy import RandomPolicy
-
-ARRAY_KINDS = ("sa-bitsel", "sa-h3", "skew", "z", "rc")
-POLICY_KINDS = ("lru", "fifo", "random")
+from repro.replacement.lru import LRU
 
 
-def _build_cache(kind, ways, lines, levels, policy_kind, tracked, seed, engine):
-    if kind == "sa-bitsel":
-        array = SetAssociativeArray(ways, lines, hash_kind="bitsel")
-    elif kind == "sa-h3":
-        array = SetAssociativeArray(ways, lines, hash_kind="h3", hash_seed=seed)
-    elif kind == "skew":
-        array = SkewAssociativeArray(ways, lines, hash_seed=seed)
-    elif kind == "z":
-        array = ZCacheArray(ways, lines, levels=levels, hash_seed=seed)
-    else:
-        array = RandomCandidatesArray(ways * lines, num_candidates=ways, seed=seed)
-    if policy_kind == "lru":
-        policy = LRU()
-    elif policy_kind == "fifo":
-        policy = FIFO()
-    else:
-        policy = RandomPolicy(seed=seed + 1)
-    if tracked:
-        policy = TrackedPolicy(policy)
+def _build_cache(candidates, blocks, tracked, seed, engine):
+    array = RandomCandidatesArray(blocks, num_candidates=candidates, seed=seed)
+    policy = TrackedPolicy(LRU()) if tracked else LRU()
     return Cache(array, policy, engine=engine)
 
 
@@ -74,14 +52,11 @@ def _final_state(cache):
 
 @st.composite
 def _cases(draw):
-    kind = draw(st.sampled_from(ARRAY_KINDS))
-    ways = draw(st.sampled_from([2, 3, 4]))
-    lines = draw(st.sampled_from([4, 8, 16]))
-    levels = draw(st.sampled_from([2, 3]))
-    policy_kind = draw(st.sampled_from(POLICY_KINDS))
+    candidates = draw(st.sampled_from([2, 3, 4]))
+    blocks = candidates * draw(st.sampled_from([4, 8, 16]))
     tracked = draw(st.booleans())
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    footprint = draw(st.sampled_from([2, 4, 8])) * ways * lines
+    footprint = draw(st.sampled_from([2, 4, 8])) * blocks
     n_ops = draw(st.integers(min_value=50, max_value=400))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
     ops = []
@@ -89,43 +64,15 @@ def _cases(draw):
         roll = rng.random()
         op = "inv" if roll < 0.05 else "acc"
         ops.append((op, rng.randrange(footprint), rng.random() < 0.3))
-    return kind, ways, lines, levels, policy_kind, tracked, seed, ops
+    return candidates, blocks, tracked, seed, ops
 
 
 @settings(max_examples=50, deadline=None)
 @given(_cases())
 def test_engines_bit_identical(case):
-    kind, ways, lines, levels, policy_kind, tracked, seed, ops = case
-    ref = _build_cache(
-        kind, ways, lines, levels, policy_kind, tracked, seed, "reference"
-    )
-    turbo = _build_cache(
-        kind, ways, lines, levels, policy_kind, tracked, seed, "turbo"
-    )
+    candidates, blocks, tracked, seed, ops = case
+    ref = _build_cache(candidates, blocks, tracked, seed, "reference")
+    turbo = _build_cache(candidates, blocks, tracked, seed, "turbo")
     assert turbo.engine == "turbo", "drawn configuration should be supported"
     assert _replay(ref, ops) == _replay(turbo, ops)
     assert _final_state(ref) == _final_state(turbo)
-
-
-@settings(max_examples=15, deadline=None)
-@given(_cases())
-def test_zcache_walk_stats_identical(case):
-    """Zcache-specific walk counters and commit-level histograms agree."""
-    _, ways, lines, levels, policy_kind, tracked, seed, ops = case
-    caches = []
-    for engine in ("reference", "turbo"):
-        cache = _build_cache(
-            "z", ways, lines, levels, policy_kind, tracked, seed, engine
-        )
-        _replay(cache, ops)
-        caches.append(cache)
-    ref, turbo = caches
-    assert turbo.engine == "turbo"
-    ref_ws, turbo_ws = ref.array.stats, turbo.array.stats
-    assert (
-        {k: c.value for k, c in ref_ws.counters().items()},
-        ref_ws.level_hist,
-    ) == (
-        {k: c.value for k, c in turbo_ws.counters().items()},
-        turbo_ws.level_hist,
-    )

@@ -9,7 +9,6 @@ from repro.core.controller import Cache, CacheStats
 from repro.core.randomcand import RandomCandidatesArray
 from repro.core.setassoc import SetAssociativeArray
 from repro.core.skew import SkewAssociativeArray
-from repro.core.twophase import TwoPhaseZCache
 from repro.core.zcache import ZCacheArray
 from repro.kernels.engine import TurboCore, try_build_turbo
 from repro.replacement.lru import FIFO, LRU
@@ -27,20 +26,13 @@ def test_unknown_engine_rejected():
 
 
 @pytest.mark.parametrize(
-    "make_array",
-    [
-        lambda: SetAssociativeArray(4, 16),
-        lambda: SkewAssociativeArray(4, 16),
-        lambda: ZCacheArray(4, 16, levels=2),
-        lambda: RandomCandidatesArray(64, 8),
-    ],
-)
-@pytest.mark.parametrize(
     "make_policy",
-    [LRU, FIFO, RandomPolicy, lambda: TrackedPolicy(LRU())],
+    [LRU, lambda: TrackedPolicy(LRU())],
+    ids=["lru", "tracked-lru"],
 )
-def test_supported_configs_get_turbo(make_array, make_policy):
-    cache = Cache(make_array(), make_policy(), engine="turbo")
+def test_supported_configs_get_turbo(make_policy):
+    """Fig. 2's configuration: random candidates under (tracked) LRU."""
+    cache = Cache(RandomCandidatesArray(64, 8), make_policy(), engine="turbo")
     assert cache.engine == "turbo"
     assert cache.requested_engine == "turbo"
     assert isinstance(cache._turbo, TurboCore)
@@ -56,8 +48,9 @@ def test_reference_is_default():
 @pytest.mark.parametrize(
     "make_cache",
     [
-        # DFS walks, candidate caps and repeat filters change candidate
-        # order/count — no kernel covers them.
+        # Only Fig. 2's random-candidates array has a kernel: every
+        # set-associative, skew or zcache array falls back, whatever its
+        # walk strategy, candidate cap or repeat filter.
         lambda: Cache(
             ZCacheArray(4, 16, levels=2, strategy="dfs"), LRU(), engine="turbo"
         ),
@@ -69,14 +62,17 @@ def test_reference_is_default():
             LRU(),
             engine="turbo",
         ),
+        lambda: Cache(SetAssociativeArray(4, 16), LRU(), engine="turbo"),
+        lambda: Cache(SkewAssociativeArray(4, 16), LRU(), engine="turbo"),
+        lambda: Cache(ZCacheArray(4, 16, levels=2), LRU(), engine="turbo"),
         # Policies without a kernel.
-        lambda: Cache(SetAssociativeArray(4, 16), SRRIP(), engine="turbo"),
+        lambda: Cache(RandomCandidatesArray(64, 8), SRRIP(), engine="turbo"),
         lambda: Cache(
-            SetAssociativeArray(4, 16), TrackedPolicy(SRRIP()), engine="turbo"
+            RandomCandidatesArray(64, 8), TrackedPolicy(SRRIP()), engine="turbo"
         ),
-        # The two-phase controller overrides the access protocol.
-        lambda: TwoPhaseZCache(
-            ZCacheArray(4, 16, levels=2), LRU(), engine="turbo"
+        lambda: Cache(RandomCandidatesArray(64, 8), FIFO(), engine="turbo"),
+        lambda: Cache(
+            RandomCandidatesArray(64, 8), RandomPolicy(), engine="turbo"
         ),
     ],
 )
@@ -97,20 +93,20 @@ def test_subclass_policies_fall_back():
     class MyLRU(LRU):
         pass
 
-    cache = Cache(SetAssociativeArray(4, 16), MyLRU(), engine="turbo")
+    cache = Cache(RandomCandidatesArray(64, 8), MyLRU(), engine="turbo")
     assert cache.engine == "reference"
 
 
 def test_prepopulated_state_is_rejected():
     """try_build_turbo only accepts a pristine cache."""
-    cache = Cache(ZCacheArray(4, 16, levels=2), LRU())
+    cache = Cache(RandomCandidatesArray(64, 8), LRU())
     for address in range(32):
         cache.access(address)
     assert try_build_turbo(cache) is None
 
 
 def test_pin_raises_under_turbo():
-    cache = Cache(ZCacheArray(4, 16, levels=2), LRU(), engine="turbo")
+    cache = Cache(RandomCandidatesArray(64, 8), LRU(), engine="turbo")
     cache.access(7)
     with pytest.raises(RuntimeError, match="pinning is not supported"):
         cache.pin(7)
@@ -128,8 +124,8 @@ def test_stats_swap_rebinds_turbo_counters():
     The core caches counter refs for the hot loop; the stats-listener
     protocol is what keeps those refs live across a registry swap.
     """
-    ref = Cache(ZCacheArray(4, 32, levels=2), LRU())
-    turbo = Cache(ZCacheArray(4, 32, levels=2), LRU(), engine="turbo")
+    ref = Cache(RandomCandidatesArray(128, 8), LRU())
+    turbo = Cache(RandomCandidatesArray(128, 8), LRU(), engine="turbo")
     assert turbo.engine == "turbo"
     for cache in (ref, turbo):
         _run(cache, seed=5, count=1500)

@@ -15,6 +15,7 @@ from repro.core.adaptive import AdaptiveZCache
 from repro.core.column import ColumnAssociativeCache
 from repro.core.controller import Cache
 from repro.core.fullyassoc import FullyAssociativeArray
+from repro.core.randomcand import RandomCandidatesArray
 from repro.core.setassoc import SetAssociativeArray
 from repro.core.victim import VictimCache
 from repro.core.zcache import ZCacheArray
@@ -93,7 +94,7 @@ def test_engine_fallback_gauge_records_degradation():
 
     obs_ok = ObsContext()
     cache = Cache(
-        SetAssociativeArray(4, 16), LRU(), engine="turbo", obs=obs_ok
+        RandomCandidatesArray(64, 8), LRU(), engine="turbo", obs=obs_ok
     )
     assert cache.engine == "turbo"
     assert obs_ok.metrics.gauge("engine_fallback").value == 0

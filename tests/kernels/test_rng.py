@@ -16,25 +16,20 @@ def test_randrange_parity(seed, n):
     assert got.tolist() == [ref.randrange(n) for _ in range(3000)]
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_uniform_parity(seed):
-    ref = random.Random(seed)
-    stream = MTStream(random.Random(seed))
-    assert stream.uniform(2000).tolist() == [ref.random() for _ in range(2000)]
-
-
 def test_mixed_draw_shapes_share_one_word_stream():
-    """Interleaved randrange/uniform draws must stay in sync.
+    """Interleaved randrange/word draws must stay in sync.
 
     The rejection sampler pushes unconsumed raw words back; a later
-    uniform() must pick up exactly where the Python object would.
+    draw must pick up exactly where the Python object would.
     """
     ref = random.Random(42)
     stream = MTStream(random.Random(42))
     assert stream.randrange(2048, 777).tolist() == [
         ref.randrange(2048) for _ in range(777)
     ]
-    assert stream.uniform(123).tolist() == [ref.random() for _ in range(123)]
+    assert stream.words(123).tolist() == [
+        ref.getrandbits(32) for _ in range(123)
+    ]
     assert stream.randrange(77, 1000).tolist() == [
         ref.randrange(77) for _ in range(1000)
     ]

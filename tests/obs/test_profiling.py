@@ -1,6 +1,7 @@
 """Unit tests for the ZScope phase timer and heartbeat."""
 
 import io
+from types import SimpleNamespace
 
 from repro.obs import (
     NULL_HEARTBEAT,
@@ -9,6 +10,7 @@ from repro.obs import (
     Heartbeat,
     PhaseTimer,
 )
+from repro.obs import profiling
 
 
 class TestPhaseTimer:
@@ -35,6 +37,31 @@ class TestPhaseTimer:
         timer.add("replay", 1.0)
         text = timer.render()
         assert "capture" in text and "75.0%" in text and "total" in text
+
+    def test_render_counts_nested_phases_once(self, monkeypatch):
+        # A fake clock makes every phase's wall time exact.
+        ticks = iter([0.0, 0.0, 1.0, 1.0, 4.0, 4.0])
+        monkeypatch.setattr(
+            profiling, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        timer = PhaseTimer()
+        with timer.phase("sweep"):  # 0 -> 4
+            with timer.phase("capture"):  # 0 -> 1
+                pass
+            with timer.phase("replay"):  # 1 -> 4
+                pass
+        timer.add("report", 1.0)
+        lines = timer.render().splitlines()
+        shares = {}
+        for line in lines[1:-1]:
+            name, _seconds, share, _calls = line.split()
+            shares[name] = float(share.rstrip("%"))
+        assert shares == {
+            "sweep": 80.0, "replay": 60.0, "capture": 20.0, "report": 20.0
+        }
+        assert shares["sweep"] + shares["report"] == 100.0
+        assert shares["capture"] + shares["replay"] == shares["sweep"]
+        assert lines[-1].split() == ["total", "5.000"]
 
     def test_render_empty(self):
         assert PhaseTimer().render() == "(no phases recorded)"

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.serve.server import ServeClient, ZServeServer
+from repro.serve.server import MAX_LINE_BYTES, ServeClient, ZServeServer
 from repro.serve.service import ServeConfig, ZServeCache
 
 
@@ -53,6 +53,22 @@ class TestProtocol:
         assert client.request("GET too many args").startswith("ERR")
         assert client.request("") == "ERR empty request"
         # The connection survives a bad request.
+        assert client.ping() is True
+
+    def test_oversized_line_gets_err_and_hangs_up(self, server):
+        host, port = server.address
+        with ServeClient(host, port) as c:
+            reply = c.request("GET " + "k" * MAX_LINE_BYTES)
+            assert reply == "ERR line too long"
+            with pytest.raises(ConnectionError):
+                c.request("PING")
+        # The server itself is unharmed: a fresh connection is served.
+        with ServeClient(host, port) as fresh:
+            assert fresh.request("PING") == "PONG"
+
+    def test_line_at_the_limit_is_served(self, client):
+        line = "PUT k " + "v" * (MAX_LINE_BYTES - len("PUT k ") - 1)
+        assert client.request(line) == "OK"
         assert client.ping() is True
 
     def test_dispatch_without_socket(self):
@@ -113,9 +129,9 @@ class TestClientLifecycle:
     def test_server_closing_the_connection_raises_connection_error(self):
         # A stub that answers one request and hangs up: the client's
         # next read sees EOF and must surface the typed error, not an
-        # empty-reply ValueError. (ZServeServer never hangs up first —
-        # its handler threads serve until client EOF — so the stub is
-        # the only deterministic way onto this path.)
+        # empty-reply ValueError. (ZServeServer hangs up first only
+        # after an oversized line, so the stub is the simplest
+        # deterministic way onto this path.)
         lsock = socket.socket()
         lsock.bind(("127.0.0.1", 0))
         lsock.listen(1)
