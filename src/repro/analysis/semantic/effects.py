@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -321,9 +320,8 @@ def _classes_named(
 _SIM_PACKAGES = frozenset({"core", "kernels"})
 
 #: candidate-collection entry points: the read-only phase of the
-#: two-phase protocol, in both engines
+#: two-phase protocol
 _WALK_METHODS = frozenset({"build_replacement", "build_reinsertion"})
-_WALK_KERNEL_METHOD = "collect"
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +336,8 @@ class TwoPhasePurityRule(DeepRule):
     code = "ZS105"
     name = "two-phase-purity"
     summary = (
-        "build_replacement/build_reinsertion walks and turbo walk "
-        "kernels are read-only: no array-state mutation may be "
-        "reachable from candidate collection"
+        "build_replacement/build_reinsertion walks are read-only: no "
+        "array-state mutation may be reachable from candidate collection"
     )
 
     def _roots(
@@ -354,10 +351,7 @@ class TwoPhasePurityRule(DeepRule):
         for cname in sorted(symbols.classes):
             cls = symbols.classes[cname]
             for mname in sorted(cls.methods):
-                is_walk = mname in _WALK_METHODS or (
-                    mname == _WALK_KERNEL_METHOD and cname.endswith("Walk")
-                )
-                if is_walk:
+                if mname in _WALK_METHODS:
                     roots.append(func_key(cls.methods[mname]))
         return roots
 

@@ -10,7 +10,7 @@ roster and over the 10 workloads with the highest baseline L2 MPKI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.energy import CacheCostModel, ChipPowerModel

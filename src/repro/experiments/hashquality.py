@@ -13,7 +13,6 @@ reports each configuration's distance from uniformity.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.assoc import TrackedPolicy

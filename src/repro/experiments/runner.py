@@ -161,7 +161,7 @@ def collect_design_sweeps(
 
     With ``jobs > 1`` the full (workload x design x policy) product fans
     across worker processes (:mod:`repro.experiments.parallel`), which
-    is how ``scripts_run_all.py`` and the figure sweeps parallelise;
+    is how ``scripts/run_all.py`` and the figure sweeps parallelise;
     with ``jobs == 1`` it is a plain loop over :func:`run_design_sweep`.
     Both paths produce bit-identical results.
     """

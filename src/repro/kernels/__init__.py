@@ -14,7 +14,9 @@ Modules
 ``rng``
     :class:`~repro.kernels.rng.MTStream`: a numpy ``MT19937`` bit-synced
     to a ``random.Random``, reproducing CPython's ``getrandbits`` /
-    ``randrange`` draw-for-draw in bulk.
+    ``randrange`` draw-for-draw in bulk; and
+    :func:`~repro.kernels.rng.shuffle_order`, ``random.Random.shuffle``
+    in bulk, which the workload generators use.
 ``policy``
     Dense slot-indexed LRU victim selection and eviction-priority
     ranking.

@@ -17,7 +17,9 @@ anything else          ``ERR <reason>``
 
 A request line longer than :data:`MAX_LINE_BYTES` (newline included)
 gets ``ERR line too long`` and the server closes that connection, so
-no client can make the server buffer without bound.
+no client can make the server buffer without bound. A request whose
+execution raises gets ``ERR internal: <exception type>`` and the
+connection stays open for the next request.
 
 The server is a stock :class:`socketserver.ThreadingTCPServer`: one
 thread per connection, all of them hammering the shared
@@ -52,7 +54,10 @@ class _Handler(socketserver.StreamRequestHandler):
             if len(raw) > MAX_LINE_BYTES:
                 self.wfile.write(b"ERR line too long\n")
                 return
-            reply = self.server.dispatch(raw.decode("utf-8", "replace"))
+            try:
+                reply = self.server.dispatch(raw.decode("utf-8", "replace"))
+            except Exception as exc:  # a failed request, not a dead link
+                reply = f"ERR internal: {type(exc).__name__}"
             self.wfile.write(reply.encode("utf-8") + b"\n")
 
 

@@ -18,7 +18,7 @@ required for OPT, and an order of magnitude faster for design sweeps.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core import Cache, SetAssociativeArray
 from repro.energy.cachecost import CacheCostModel

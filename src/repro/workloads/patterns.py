@@ -68,11 +68,14 @@ def zipf(footprint: int, skew: float = 1.1, seed: int = 0) -> Iterator[int]:
         # skew ~ 1 makes the inverse-CDF exponent vanish (span -> 0);
         # anything isclose to 1 is numerically degenerate, not just 1.0.
         raise ValueError(f"skew must be positive and != 1, got {skew}")
+    # Imported on use: importing repro.kernels loads the turbo engine.
+    from repro.kernels.rng import shuffle_order
+
     rng = random.Random(seed)
     # A fixed random permutation decouples popularity rank from address
-    # value, so hot blocks do not cluster in one cache region.
-    perm = list(range(footprint))
-    rng.shuffle(perm)
+    # value, so hot blocks do not cluster in one cache region. Indexing
+    # the array's memoryview yields plain ints.
+    perm = memoryview(shuffle_order(rng, footprint))
     exponent = 1.0 - skew
     span = footprint**exponent - 1.0
     while True:
@@ -122,9 +125,16 @@ def pointer_chase(footprint: int, seed: int = 0, jump_every: int = 0) -> Iterato
     """
     if footprint < 1:
         raise ValueError(f"footprint must be >= 1, got {footprint}")
+    # Imported on use: importing repro.kernels loads the turbo engine.
+    from repro.kernels.rng import shuffle_order
+
     rng = random.Random(seed)
-    nxt = list(range(1, footprint)) + [0]
-    rng.shuffle(nxt)
+    # The successor table ``list(range(1, footprint)) + [0]`` after
+    # ``rng.shuffle``; indexing its memoryview yields plain ints.
+    order = shuffle_order(rng, footprint)
+    order += 1
+    order[order == footprint] = 0
+    nxt = memoryview(order)
     node = rng.randrange(footprint)
     count = 0
     while True:

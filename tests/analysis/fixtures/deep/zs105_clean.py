@@ -22,8 +22,3 @@ class PureWalkArray:
         # Mutation is fine outside the walk: commit owns state changes.
         self._pos[repl] = chosen
         return chosen
-
-
-class HonestWalk:
-    def collect(self, address, tags):
-        return [slot for slot, tag in enumerate(tags) if tag == address]

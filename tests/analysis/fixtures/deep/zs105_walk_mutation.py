@@ -19,9 +19,3 @@ class LeakyWalkArray:
     def build_reinsertion(self, victim):
         del self._lines[0][0]  # delete through array storage
         return []
-
-
-class SneakyWalk:
-    def collect(self, address, tags):
-        self._free.discard(address)  # turbo-kernel walk mutating state
-        return []

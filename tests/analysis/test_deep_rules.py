@@ -84,7 +84,7 @@ FLAGGED = [
     ("zs102_parallel_safety.py", "ZS102", [11, 16, 21, 27, 37, 39, 40]),
     ("zs103_merge_completeness.py", "ZS103", [44, 58, 58, 62]),
     ("core/zs104_hidden_state.py", "ZS104", [3, 4, 5, 6]),
-    ("zs105_walk_mutation.py", "ZS105", [12, 15, 20, 26]),
+    ("zs105_walk_mutation.py", "ZS105", [12, 15, 20]),
     ("core/zs106_raise_after_mutation.py", "ZS106", [8, 14]),
     ("zs107_fold_parity.py", "ZS107", [27]),
     ("core/zs108_raw_rng.py", "ZS108", [10, 14, 18]),

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.assoc import classify_misses
 from repro.core import SetAssociativeArray, SkewAssociativeArray, ZCacheArray
 from repro.replacement import LRU

@@ -10,7 +10,6 @@ The key invariants of any cache array, exercised with hypothesis:
 4. Conservation: blocks only leave via eviction or invalidation.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -84,6 +84,27 @@ class TestProtocol:
         assert srv.dispatch("") == "ERR empty request"
 
 
+class _FailingCache:
+    """A cache stub whose ``get`` raises, as a bug inside it would."""
+
+    def get(self, key):
+        raise KeyError(key)
+
+
+class TestInternalErrors:
+    def test_exception_in_dispatch_gets_err_and_keeps_connection(self):
+        srv = ZServeServer(_FailingCache(), port=0)
+        srv.serve_in_background()
+        try:
+            host, port = srv.address
+            with ServeClient(host, port) as c:
+                assert c.request("GET k") == "ERR internal: KeyError"
+                assert c.request("PING") == "PONG"
+        finally:
+            srv.shutdown()
+            srv.server_close()
+
+
 class TestConcurrentClients:
     def test_parallel_connections(self, server):
         host, port = server.address

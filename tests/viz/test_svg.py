@@ -1,6 +1,5 @@
 """Tests for the SVG chart writer and the figure glue."""
 
-import math
 import xml.etree.ElementTree as ET
 
 import pytest

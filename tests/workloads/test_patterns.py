@@ -1,8 +1,10 @@
 """Tests for the access-pattern primitives."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads import (
     interleave,
@@ -130,6 +132,67 @@ class TestPointerChase:
             if mapping.setdefault(cur, nxt) != nxt:
                 violations += 1
         assert violations > 0
+
+
+def _old_zipf(footprint, skew, seed):
+    """``zipf`` as it was with a Python list and ``random.shuffle``."""
+    rng = random.Random(seed)
+    perm = list(range(footprint))
+    rng.shuffle(perm)
+    exponent = 1.0 - skew
+    span = footprint**exponent - 1.0
+    while True:
+        u = rng.random()
+        rank = int((span * u + 1.0) ** (1.0 / exponent))
+        yield perm[rank % footprint]
+
+
+def _old_pointer_chase(footprint, seed, jump_every):
+    """``pointer_chase`` as it was with a Python list and ``random.shuffle``."""
+    rng = random.Random(seed)
+    nxt = list(range(1, footprint)) + [0]
+    rng.shuffle(nxt)
+    node = rng.randrange(footprint)
+    count = 0
+    while True:
+        yield node
+        node = nxt[node]
+        count += 1
+        if jump_every and count % jump_every == 0:
+            node = rng.randrange(footprint)
+
+
+class TestShuffleParity:
+    """The bulk shuffle must leave every stream exactly as it was."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        footprint=st.sampled_from([1, 2, 3, 64, 65, 1000, 4097, 30000]),
+        seed=st.integers(0, 2**31),
+        jump_every=st.sampled_from([0, 1, 7, 64]),
+    )
+    def test_pointer_chase_equals_list_shuffle(self, footprint, seed, jump_every):
+        got = take(pointer_chase(footprint, seed=seed, jump_every=jump_every), 3000)
+        assert got == take(_old_pointer_chase(footprint, seed, jump_every), 3000)
+        assert all(type(x) is int for x in got)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        footprint=st.sampled_from([1, 2, 3, 64, 65, 1000, 4097, 30000]),
+        seed=st.integers(0, 2**31),
+        skew=st.sampled_from([0.6, 1.1, 1.3]),
+    )
+    def test_zipf_equals_list_shuffle(self, footprint, seed, skew):
+        got = take(zipf(footprint, skew=skew, seed=seed), 3000)
+        assert got == take(_old_zipf(footprint, skew, seed), 3000)
+        assert all(type(x) is int for x in got)
+
+    def test_paper_scale_footprint(self):
+        """Canneal's shared region at paper scale: 786,432 blocks."""
+        footprint = 786_432
+        new = pointer_chase(footprint, seed=5, jump_every=32)
+        old = _old_pointer_chase(footprint, 5, 32)
+        assert take(new, 5000) == take(old, 5000)
 
 
 class TestMixed:
