@@ -157,8 +157,7 @@ class Cache:
         self.obs = obs
         # Listeners must exist before the first ``stats`` assignment:
         # the property setter (re)binds the hot-path counter refs and
-        # notifies everything that caches them (BankedL2 memos, the
-        # turbo core).
+        # notifies everything that caches them (the turbo core).
         self._stats_listeners: list[Callable[[], None]] = []
         self.stats = CacheStats(obs.metrics if obs is not None else None)
         self._trace: Optional[TraceBus] = (

@@ -19,7 +19,9 @@ A request line longer than :data:`MAX_LINE_BYTES` (newline included)
 gets ``ERR line too long`` and the server closes that connection, so
 no client can make the server buffer without bound. A request whose
 execution raises gets ``ERR internal: <exception type>`` and the
-connection stays open for the next request.
+connection stays open for the next request. A connection that sends
+nothing for :data:`IDLE_TIMEOUT_S` seconds is closed without a reply,
+so idle clients cannot pin handler threads forever.
 
 The server is a stock :class:`socketserver.ThreadingTCPServer`: one
 thread per connection, all of them hammering the shared
@@ -40,6 +42,9 @@ from repro.serve.service import ZServeCache
 #: longest request line the server reads, newline included
 MAX_LINE_BYTES = 64 * 1024
 
+#: seconds a connection may stay silent before the server closes it
+IDLE_TIMEOUT_S = 60.0
+
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: read request lines until EOF."""
@@ -47,8 +52,12 @@ class _Handler(socketserver.StreamRequestHandler):
     server: "ZServeServer"
 
     def handle(self) -> None:
+        self.connection.settimeout(IDLE_TIMEOUT_S)
         while True:
-            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            try:
+                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            except TimeoutError:  # idle too long: hang up quietly
+                return
             if not raw:
                 return
             if len(raw) > MAX_LINE_BYTES:

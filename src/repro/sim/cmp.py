@@ -9,10 +9,15 @@ replacement walk of a zcache happens off the critical path while the
 miss is outstanding (Section III), so it adds no stall — only tag-array
 bandwidth and energy, which the statistics capture.
 
-``CMPSimulator`` is execution-driven (inclusion victims invalidate L1
-copies and change the future L1 stream). ``TraceDrivenRunner`` captures
-the L1-filtered stream once and replays it against many L2 designs —
-required for OPT, and an order of magnitude faster for design sweeps.
+Each half of the model is written once. ``_drive_cores`` runs the
+cores, L1s and directory and hands every L2-level event to a callback;
+``_L2Timing.step`` applies one event to the banked L2 and the clocks.
+``CMPSimulator`` is execution-driven: the driver feeds ``step``
+directly, so inclusion victims invalidate L1 copies and change the
+future L1 stream. ``TraceDrivenRunner`` records the events once and
+replays them through ``step`` against many L2 designs — required for
+OPT, and an order of magnitude faster for design sweeps. Inclusion
+feedback is the one difference between the two modes.
 """
 
 from __future__ import annotations
@@ -192,164 +197,7 @@ def _bank_latency(cfg: CMPConfig) -> int:
     return cost.hit_latency_cycles()
 
 
-class CMPSimulator:
-    """Execution-driven whole-system simulation."""
-
-    def __init__(
-        self,
-        cfg: CMPConfig,
-        workload,
-        instructions_per_core: int = 100_000,
-        seed: int = 0,
-        policy_wrapper=None,
-        obs: Optional[ObsContext] = None,
-    ) -> None:
-        if cfg.l2_design.policy == "opt":
-            raise ValueError(
-                "OPT needs a captured future trace; use TraceDrivenRunner"
-            )
-        self.cfg = cfg
-        self.workload = workload
-        self.instructions_per_core = instructions_per_core
-        self.seed = seed
-        self.policy_wrapper = policy_wrapper
-        self.obs = obs
-
-    def run(self) -> CMPResult:
-        """Simulate until every core retires its instruction budget."""
-        cfg = self.cfg
-        obs = self.obs
-        l1s = [
-            _build_l1(
-                cfg,
-                obs.scoped(f"core{c}.l1") if obs is not None else None,
-            )
-            for c in range(cfg.num_cores)
-        ]
-        l2 = BankedL2(
-            cfg,
-            policy_wrapper=self.policy_wrapper,
-            obs=obs.scoped("l2") if obs is not None else None,
-        )
-        directory = Directory(
-            cfg.num_cores,
-            obs=obs.scoped("directory") if obs is not None else None,
-        )
-        channel = _MemoryChannel(cfg)
-        ports = _BankPorts(cfg)
-        bank_latency = _bank_latency(cfg)
-        streams = [
-            self.workload.core_stream(
-                c, cfg.l2_blocks, seed=self.seed, num_cores=cfg.num_cores
-            )
-            for c in range(cfg.num_cores)
-        ]
-        instructions = [0] * cfg.num_cores
-        cycles = [0] * cfg.num_cores
-        active = set(range(cfg.num_cores))
-
-        def l1_invalidate(core: int, address: int) -> None:
-            dirty = l1s[core].invalidate(address)
-            directory.l1_eviction(address, core)
-            if dirty:
-                l2.writeback(address)
-
-        while active:
-            for core in sorted(active):
-                acc = next(streams[core])
-                instructions[core] += acc.gap + 1
-                cycles[core] += acc.gap + 1
-                stall = 0
-                l1 = l1s[core]
-                was_hit = l1.array.lookup(acc.address) is not None
-                if was_hit and acc.is_write and directory.is_shared(acc.address):
-                    # Write hit to a shared line: upgrade via the L2 bank.
-                    for victim_core in directory.upgrade(acc.address, core):
-                        l1_invalidate(victim_core, acc.address)
-                    bank = l2.bank_for(acc.address)
-                    stall += cfg.l1_to_bank_latency(core, bank) + bank_latency
-                result = l1.access(acc.address, acc.is_write)
-                if result.evicted is not None:
-                    directory.l1_eviction(result.evicted, core)
-                    if result.writeback:
-                        l2.writeback(result.evicted)
-                if not result.hit:
-                    bank = l2.bank_for(acc.address)
-                    stall += cfg.l1_to_bank_latency(core, bank) + bank_latency
-                    stall += ports.demand(bank, cycles[core] + stall)
-                    walk_reads_before = l2.walk_tag_reads
-                    outcome = l2.access(acc.address, acc.is_write)
-                    if not outcome.hit:
-                        ports.walk(
-                            bank,
-                            cycles[core] + stall,
-                            l2.walk_tag_reads - walk_reads_before,
-                        )
-                        stall += cfg.mem_latency
-                        # The miss reaches the controller after the L2
-                        # round-trip and zero-load latency already in
-                        # `stall` — the same post-latency timestamp
-                        # TraceDrivenRunner.replay uses. Passing the
-                        # pre-stall `cycles[core]` here overstated
-                        # queueing relative to trace-driven runs.
-                        stall += int(
-                            channel.demand(acc.address, cycles[core] + stall)
-                        )
-                        if outcome.evicted is not None:
-                            # Inclusion: kill the victims' L1 copies.
-                            for victim_core in directory.inclusion_invalidate(
-                                outcome.evicted
-                            ):
-                                l1_invalidate(victim_core, outcome.evicted)
-                        if outcome.writeback:
-                            channel.writeback(
-                                outcome.evicted, cycles[core] + stall
-                            )
-                    for victim_core in directory.fill(
-                        acc.address, core, acc.is_write
-                    ):
-                        l1_invalidate(victim_core, acc.address)
-                cycles[core] += stall
-                if instructions[core] >= self.instructions_per_core:
-                    active.discard(core)
-
-        return self._result(cfg, l1s, l2, directory, instructions, cycles,
-                            bank_latency, ports.queueing_cycles)
-
-    @staticmethod
-    def _result(cfg, l1s, l2, directory, instructions, cycles, bank_latency,
-                bank_queueing_cycles=0):
-        priorities: list[float] = []
-        for bank in l2.banks:
-            if hasattr(bank.policy, "priorities"):
-                priorities.extend(bank.policy.priorities)
-        return CMPResult(
-            label=cfg.l2_design.label(),
-            num_cores=cfg.num_cores,
-            instructions=instructions,
-            cycles=cycles,
-            l1_accesses=sum(c.stats.accesses for c in l1s),
-            l1_misses=sum(c.stats.misses for c in l1s),
-            l2_hits=l2.hits,
-            l2_misses=l2.misses,
-            l2_accesses=l2.accesses + l2.writeback_hits + l2.writeback_misses,
-            l2_writebacks=l2.writebacks_to_memory,
-            walk_tag_reads=l2.walk_tag_reads,
-            relocations=l2.relocations,
-            bank_accesses=list(l2.bank_accesses),
-            coherence_invalidations=directory.stats.invalidations_sent,
-            upgrades=directory.stats.upgrades,
-            l2_bank_latency=bank_latency,
-            eviction_priorities=priorities,
-            bank_queueing_cycles=bank_queueing_cycles,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Trace-driven mode
-# ---------------------------------------------------------------------------
-
-#: event kinds in a captured trace
+#: event kinds in the L1-filtered stream
 MISS, WRITEBACK, UPGRADE = 0, 1, 2
 
 
@@ -376,6 +224,214 @@ class CapturedTrace:
             if kind == MISS:
                 traces[bank_index(address, num_banks)].append(address)
         return traces
+
+
+def _drive_cores(
+    cfg: CMPConfig,
+    workload,
+    instructions_per_core: int,
+    seed: int,
+    emit,
+    obs: Optional[ObsContext] = None,
+) -> CapturedTrace:
+    """Run the cores, L1s and directory; hand every L2 event to ``emit``.
+
+    ``emit`` receives each event, a ``(kind, core, address, is_write,
+    work)`` tuple, in order; ``work`` is the core's cycles since its
+    previous event. For a MISS it may return the L2 victim, whose L1
+    copies are then invalidated (inclusion) before the directory
+    records the fill. Returns the run's totals; their ``events`` list is
+    empty, since the events went to ``emit``.
+    """
+    l1s = [
+        _build_l1(cfg, obs.scoped(f"core{c}.l1") if obs is not None else None)
+        for c in range(cfg.num_cores)
+    ]
+    directory = Directory(
+        cfg.num_cores,
+        obs=obs.scoped("directory") if obs is not None else None,
+    )
+    streams = [
+        workload.core_stream(c, cfg.l2_blocks, seed=seed, num_cores=cfg.num_cores)
+        for c in range(cfg.num_cores)
+    ]
+    instructions = [0] * cfg.num_cores
+    pending_work = [0] * cfg.num_cores  # cycles since last event
+    active = set(range(cfg.num_cores))
+
+    def l1_invalidate(core: int, address: int) -> None:
+        dirty = l1s[core].invalidate(address)
+        directory.l1_eviction(address, core)
+        if dirty:
+            emit((WRITEBACK, core, address, True, 0))
+
+    while active:
+        for core in sorted(active):
+            acc = next(streams[core])
+            instructions[core] += acc.gap + 1
+            pending_work[core] += acc.gap + 1
+            l1 = l1s[core]
+            was_hit = l1.array.lookup(acc.address) is not None
+            if was_hit and acc.is_write and directory.is_shared(acc.address):
+                # Write hit to a shared line: upgrade via the L2 bank.
+                for victim_core in directory.upgrade(acc.address, core):
+                    l1_invalidate(victim_core, acc.address)
+                emit((UPGRADE, core, acc.address, True, pending_work[core]))
+                pending_work[core] = 0
+            result = l1.access(acc.address, acc.is_write)
+            if result.evicted is not None:
+                directory.l1_eviction(result.evicted, core)
+                if result.writeback:
+                    emit((WRITEBACK, core, result.evicted, True, 0))
+            if not result.hit:
+                victim = emit(
+                    (MISS, core, acc.address, acc.is_write, pending_work[core])
+                )
+                pending_work[core] = 0
+                if victim is not None:
+                    # Inclusion: kill the victim's L1 copies.
+                    for victim_core in directory.inclusion_invalidate(victim):
+                        l1_invalidate(victim_core, victim)
+                for victim_core in directory.fill(acc.address, core, acc.is_write):
+                    l1_invalidate(victim_core, acc.address)
+            if instructions[core] >= instructions_per_core:
+                active.discard(core)
+
+    return CapturedTrace(
+        events=[],
+        instructions=instructions,
+        l1_accesses=sum(c.stats.accesses for c in l1s),
+        l1_misses=sum(c.stats.misses for c in l1s),
+        upgrades=directory.stats.upgrades,
+        coherence_invalidations=directory.stats.invalidations_sent,
+    )
+
+
+class _L2Timing:
+    """The L2 side of Table I: banks, bank ports, memory, core clocks.
+
+    :meth:`step` applies one L2 event to ``l2`` and advances the issuing
+    core's clock by its work, the L1-to-bank round trip and, on a miss,
+    memory latency and queueing. An upgrade is a port access with no
+    array lookup. The walk of a miss occupies its bank's tag port but
+    does not stall the core.
+    """
+
+    def __init__(self, cfg: CMPConfig, l2: BankedL2) -> None:
+        self.cfg = cfg
+        self.l2 = l2
+        self.channel = _MemoryChannel(cfg)
+        self.ports = _BankPorts(cfg)
+        self.bank_latency = _bank_latency(cfg)
+        self.cycles = [0] * cfg.num_cores
+        self.accounted = [0] * cfg.num_cores
+
+    def step(self, event: tuple) -> Optional[int]:
+        """Apply one event; return the L2 victim of a MISS, else None."""
+        kind, core, address, is_write, work = event
+        cycles = self.cycles
+        cycles[core] += work
+        self.accounted[core] += work
+        l2 = self.l2
+        if kind == WRITEBACK:
+            l2.writeback(address)
+            return None
+        bank = l2.bank_for(address)
+        now = (
+            cycles[core]
+            + self.cfg.l1_to_bank_latency(core, bank)
+            + self.bank_latency
+        )
+        now += self.ports.demand(bank, now)
+        if kind == UPGRADE:
+            l2.record_bank_access(bank)
+            cycles[core] = now
+            return None
+        walk_reads = l2.banks[bank].stats.counters()["walk_tag_reads"]
+        reads_before = walk_reads.value
+        outcome = l2.access(address, is_write)
+        if not outcome.hit:
+            self.ports.walk(bank, now, walk_reads.value - reads_before)
+            now += self.cfg.mem_latency
+            now += int(self.channel.demand(address, now))
+            if outcome.writeback:
+                self.channel.writeback(outcome.evicted, now)
+        cycles[core] = now
+        return outcome.evicted
+
+    def result(self, totals: CapturedTrace) -> CMPResult:
+        """The run's result; cores spend residual instructions at the end."""
+        cfg = self.cfg
+        l2 = self.l2
+        instructions = list(totals.instructions)
+        cycles = [
+            c + i - a for c, i, a in zip(self.cycles, instructions, self.accounted)
+        ]
+        priorities: list[float] = []
+        for bank in l2.banks:
+            if hasattr(bank.policy, "priorities"):
+                priorities.extend(bank.policy.priorities)
+        return CMPResult(
+            label=cfg.l2_design.label(),
+            num_cores=cfg.num_cores,
+            instructions=instructions,
+            cycles=cycles,
+            l1_accesses=totals.l1_accesses,
+            l1_misses=totals.l1_misses,
+            l2_hits=l2.hits,
+            l2_misses=l2.misses,
+            l2_accesses=l2.accesses + l2.writeback_hits + l2.writeback_misses,
+            l2_writebacks=l2.writebacks_to_memory,
+            walk_tag_reads=l2.walk_tag_reads,
+            relocations=l2.relocations,
+            bank_accesses=list(l2.bank_accesses),
+            coherence_invalidations=totals.coherence_invalidations,
+            upgrades=totals.upgrades,
+            l2_bank_latency=self.bank_latency,
+            eviction_priorities=priorities,
+            bank_queueing_cycles=self.ports.queueing_cycles,
+        )
+
+
+class CMPSimulator:
+    """Execution-driven whole-system simulation."""
+
+    def __init__(
+        self,
+        cfg: CMPConfig,
+        workload,
+        instructions_per_core: int = 100_000,
+        seed: int = 0,
+        policy_wrapper=None,
+        obs: Optional[ObsContext] = None,
+    ) -> None:
+        if cfg.l2_design.policy == "opt":
+            raise ValueError(
+                "OPT needs a captured future trace; use TraceDrivenRunner"
+            )
+        self.cfg = cfg
+        self.workload = workload
+        self.instructions_per_core = instructions_per_core
+        self.seed = seed
+        self.policy_wrapper = policy_wrapper
+        self.obs = obs
+
+    def run(self) -> CMPResult:
+        """Simulate until every core retires its instruction budget."""
+        obs = self.obs
+        timing = _L2Timing(
+            self.cfg,
+            BankedL2(
+                self.cfg,
+                policy_wrapper=self.policy_wrapper,
+                obs=obs.scoped("l2") if obs is not None else None,
+            ),
+        )
+        totals = _drive_cores(
+            self.cfg, self.workload, self.instructions_per_core, self.seed,
+            emit=timing.step, obs=obs,
+        )
+        return timing.result(totals)
 
 
 class TraceDrivenRunner:
@@ -426,69 +482,13 @@ class TraceDrivenRunner:
 
     def capture(self) -> CapturedTrace:
         """Phase 1: L1 filtering and coherence, recording L2 events."""
-        if self._captured is not None:
-            return self._captured
-        cfg = self.cfg
-        l1s = [_build_l1(cfg) for _ in range(cfg.num_cores)]
-        directory = Directory(cfg.num_cores)
-        streams = [
-            self.workload.core_stream(
-                c, cfg.l2_blocks, seed=self.seed, num_cores=cfg.num_cores
+        if self._captured is None:
+            events: list = []
+            self._captured = _drive_cores(
+                self.cfg, self.workload, self.instructions_per_core,
+                self.seed, emit=events.append,
             )
-            for c in range(cfg.num_cores)
-        ]
-        instructions = [0] * cfg.num_cores
-        pending_work = [0] * cfg.num_cores  # cycles since last event
-        events: list = []
-        active = set(range(cfg.num_cores))
-
-        def l1_invalidate(core: int, address: int) -> None:
-            dirty = l1s[core].invalidate(address)
-            directory.l1_eviction(address, core)
-            if dirty:
-                events.append((WRITEBACK, core, address, True, 0))
-
-        while active:
-            for core in sorted(active):
-                acc = next(streams[core])
-                instructions[core] += acc.gap + 1
-                pending_work[core] += acc.gap + 1
-                l1 = l1s[core]
-                was_hit = l1.array.lookup(acc.address) is not None
-                if was_hit and acc.is_write and directory.is_shared(acc.address):
-                    for victim_core in directory.upgrade(acc.address, core):
-                        l1_invalidate(victim_core, acc.address)
-                    events.append(
-                        (UPGRADE, core, acc.address, True, pending_work[core])
-                    )
-                    pending_work[core] = 0
-                result = l1.access(acc.address, acc.is_write)
-                if result.evicted is not None:
-                    directory.l1_eviction(result.evicted, core)
-                    if result.writeback:
-                        events.append(
-                            (WRITEBACK, core, result.evicted, True, 0)
-                        )
-                if not result.hit:
-                    events.append(
-                        (MISS, core, acc.address, acc.is_write, pending_work[core])
-                    )
-                    pending_work[core] = 0
-                    for victim_core in directory.fill(
-                        acc.address, core, acc.is_write
-                    ):
-                        l1_invalidate(victim_core, acc.address)
-                if instructions[core] >= self.instructions_per_core:
-                    active.discard(core)
-
-        self._captured = CapturedTrace(
-            events=events,
-            instructions=instructions,
-            l1_accesses=sum(c.stats.accesses for c in l1s),
-            l1_misses=sum(c.stats.misses for c in l1s),
-            upgrades=directory.stats.upgrades,
-            coherence_invalidations=directory.stats.invalidations_sent,
-        )
+            self._captured.events = events
         return self._captured
 
     def replay(
@@ -511,66 +511,9 @@ class TraceDrivenRunner:
                 policy_wrapper=policy_wrapper,
                 obs=obs.scoped("l2") if obs is not None else None,
             )
-        channel = _MemoryChannel(cfg)
-        ports = _BankPorts(cfg)
-        bank_latency = _bank_latency(cfg)
-        cycles = [0] * cfg.num_cores
-        accounted = [0] * cfg.num_cores
+        timing = _L2Timing(cfg, l2)
+        step = timing.step
         with spans.span("replay.stream", events=len(captured.events)):
-            for kind, core, address, is_write, work in captured.events:
-                cycles[core] += work
-                accounted[core] += work
-                if kind == WRITEBACK:
-                    l2.writeback(address)
-                    continue
-                bank = l2.bank_for(address)
-                if kind == UPGRADE:
-                    cycles[core] += (
-                        cfg.l1_to_bank_latency(core, bank) + bank_latency
-                    )
-                    cycles[core] += ports.demand(bank, cycles[core])
-                    l2.record_bank_access(bank)
-                    continue
-                cycles[core] += cfg.l1_to_bank_latency(core, bank) + bank_latency
-                cycles[core] += ports.demand(bank, cycles[core])
-                walk_reads_before = l2.walk_tag_reads
-                outcome = l2.access(address, is_write)
-                if not outcome.hit:
-                    ports.walk(
-                        bank, cycles[core],
-                        l2.walk_tag_reads - walk_reads_before,
-                    )
-                    cycles[core] += cfg.mem_latency
-                    cycles[core] += int(channel.demand(address, cycles[core]))
-                    if outcome.writeback:
-                        channel.writeback(outcome.evicted, cycles[core])
-        # Cores spend their residual instructions after the last event.
-        instructions = list(captured.instructions)
-        for core in range(cfg.num_cores):
-            residual = instructions[core] - min(accounted[core], instructions[core])
-            cycles[core] += residual
-
-        priorities: list[float] = []
-        for bank in l2.banks:
-            if hasattr(bank.policy, "priorities"):
-                priorities.extend(bank.policy.priorities)
-        return CMPResult(
-            label=cfg.l2_design.label(),
-            num_cores=cfg.num_cores,
-            instructions=instructions,
-            cycles=cycles,
-            l1_accesses=captured.l1_accesses,
-            l1_misses=captured.l1_misses,
-            l2_hits=l2.hits,
-            l2_misses=l2.misses,
-            l2_accesses=l2.accesses + l2.writeback_hits + l2.writeback_misses,
-            l2_writebacks=l2.writebacks_to_memory,
-            walk_tag_reads=l2.walk_tag_reads,
-            relocations=l2.relocations,
-            bank_accesses=list(l2.bank_accesses),
-            coherence_invalidations=captured.coherence_invalidations,
-            upgrades=captured.upgrades,
-            l2_bank_latency=bank_latency,
-            eviction_priorities=priorities,
-            bank_queueing_cycles=ports.queueing_cycles,
-        )
+            for event in captured.events:
+                step(event)
+        return timing.result(captured)

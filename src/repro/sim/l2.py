@@ -149,15 +149,6 @@ class BankedL2:
         ]
         self._c_writeback_hits = self.metrics.counter("writeback_hits")
         self._c_writeback_misses = self.metrics.counter("writeback_misses")
-        # attr -> the banks' Counter objects, lazily built: the timing
-        # model polls aggregates like `walk_tag_reads` per access, so
-        # `total()` must not re-resolve counters every call. A bank whose
-        # stats object is swapped mid-run (registry re-scoping) would
-        # strand the memoized refs on the orphaned counters, so every
-        # bank invalidates the memo when that happens.
-        self._total_cache: dict[str, list] = {}
-        for bank in self.banks:
-            bank.add_stats_listener(self._total_cache.clear)
 
     @property
     def bank_accesses(self) -> list[int]:
@@ -211,21 +202,13 @@ class BankedL2:
         self._c_writeback_misses.value += 1
         return False
 
-    def invalidate(self, address: int) -> bool:
-        """Back-invalidate (unused externally today; symmetry helper)."""
-        return self.banks[self.bank_for(address)].invalidate(address)
-
     def __contains__(self, address: int) -> bool:
         return address in self.banks[self.bank_for(address)]
 
     # -- aggregate statistics ---------------------------------------------------
     def total(self, attr: str) -> int:
         """Sum a CacheStats counter across banks."""
-        counters = self._total_cache.get(attr)
-        if counters is None:
-            counters = [b.stats.counters()[attr] for b in self.banks]
-            self._total_cache[attr] = counters
-        return sum(c.value for c in counters)
+        return sum(b.stats.counters()[attr].value for b in self.banks)
 
     @property
     def hits(self) -> int:

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -103,6 +104,25 @@ class TestInternalErrors:
         finally:
             srv.shutdown()
             srv.server_close()
+
+
+class TestIdleTimeout:
+    @pytest.fixture()
+    def short_timeout(self, monkeypatch):
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 0.2)
+
+    def test_silent_client_is_hung_up_on(self, short_timeout, server):
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            assert sock.recv(1) == b""  # EOF, no reply
+
+    def test_talking_client_is_still_served(self, short_timeout, server):
+        host, port = server.address
+        with ServeClient(host, port) as c:
+            for _ in range(8):  # 0.4 s in all, twice the timeout
+                time.sleep(0.05)
+                assert c.ping() is True
 
 
 class TestConcurrentClients:

@@ -192,6 +192,11 @@ class TestMemoryQueueingParity:
     NUCA hop latencies to make the per-miss shift *vary* by bank, which
     makes the two timestamp conventions produce different queueing
     delays and different final cycle counts.
+
+    A second divergence, also fixed: an upgrade (write hit to a shared
+    line) used to count a bank-port access and queue on the port in
+    replay but not in execution mode. Both modes now run one L2 timing
+    step, so inclusion feedback is the one modelled difference left.
     """
 
     def make_probe(self):
@@ -225,6 +230,23 @@ class TestMemoryQueueingParity:
         ).replay(cfg)
         assert full.l2_misses == rep.l2_misses
         assert full.cycles == rep.cycles
+
+    @pytest.mark.parametrize("bank_queueing", [False, True])
+    def test_upgrades_are_port_accesses_in_both_modes(self, bank_queueing):
+        # streamcluster shares data, so write hits to shared lines
+        # upgrade through the L2 bank; each is one port access on top
+        # of the demand and writeback accesses.
+        from dataclasses import replace
+
+        cfg = replace(CFG, bank_queueing=bank_queueing)
+        spec = get_workload("streamcluster")
+        full = CMPSimulator(cfg, spec, instructions_per_core=INSTR, seed=3).run()
+        rep = TraceDrivenRunner(
+            cfg, spec, instructions_per_core=INSTR, seed=3
+        ).replay(cfg)
+        for res in (full, rep):
+            assert res.upgrades > 0
+            assert sum(res.bank_accesses) == res.l2_accesses + res.upgrades
 
     def test_contention_actually_exercised(self):
         # Guard against the probe silently losing its memory-channel
